@@ -8,24 +8,21 @@ from .kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                      const_sig, finite_monoid, functor_map, fvalues, hom,
                      hom_check, identity_hom, identity_nat, is_bottom,
                      monoid_check, nat_apply, nat_check_lax, nat_transform,
-                     node, shape_sig, table_monoid, unit_hom, unit_value,
-                     zip_values)
-from .carriers import (Algebra, Coalgebra, builtin_carriers, coalgebra,
-                       coalgebras_identical, counter_coalgebra, finite_algebra,
-                       fold, initial_term_algebra, is_algebra_morphism,
-                       is_coalgebra_morphism, nat_counter, perfect_shape,
-                       render_term, render_value, shape_coalgebra,
-                       table_algebra, tensor_coalgebra, term_algebra_bounded,
-                       term_as_coalgebra, term_depth, term_unfold_coalgebra,
-                       terms_up_to, truncate_term, unit_coalgebra,
-                       unit_labeled_terms)
+                     node, shape_sig, unit_hom, unit_value, zip_values)
+from .carriers import (Algebra, Coalgebra, coalgebra, coalgebras_identical,
+                       counter_coalgebra, finite_algebra, fold,
+                       initial_term_algebra, is_coalgebra_morphism,
+                       nat_counter, perfect_shape, render_term, render_value,
+                       shape_coalgebra, table_algebra, tensor_coalgebra,
+                       term_algebra_bounded, term_as_coalgebra, term_depth,
+                       term_unfold_coalgebra, terms_up_to, truncate_term,
+                       unit_coalgebra)
 from .transport import (AdjointUnsupportedError, ExpandedAlgebra,
                         PushoutAlgebra, SubCoalgebra, expand_algebra,
-                        expand_any_order, pullback_algebra,
-                        pushforward_coalgebra, pushout_algebra,
-                        pushout_transpose, pushout_untranspose,
-                        restrict_coalgebra, restriction_inclusion,
-                        restriction_transpose, restriction_untranspose)
+                        pullback_algebra, pushforward_coalgebra,
+                        pushout_algebra, pushout_transpose,
+                        pushout_untranspose, restrict_coalgebra,
+                        restriction_inclusion, restriction_untranspose)
 from .measuring import (Measuring, MeasuringLawError,
                         canonical_const_measuring, canonical_term_measuring,
                         check_law, compose, embed_measuring, from_morphism,
@@ -33,11 +30,11 @@ from .measuring import (Measuring, MeasuringLawError,
                         push_measuring, rule_measuring, table_measuring,
                         to_morphism)
 from .oracle import (CheckReport, DEFAULT_BUDGET, SolveResult,
-                     algebra_morphisms, check_adjunction, check_c_initial,
+                     check_adjunction, check_c_initial,
                      check_preinitial_subterminal, check_preserves_c_initial,
                      check_respects_composition, coalgebra_morphisms,
                      random_algebra, random_algebras, random_coalgebra,
-                     random_coalgebras, raw_lawful_tables, solve_measurings,
+                     raw_lawful_tables, solve_measurings,
                      solutions_as_measurings)
 
 __version__ = "0.1.0"

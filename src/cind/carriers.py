@@ -47,7 +47,6 @@ def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
         labels = sig.monoid.elements
     out = [BOTTOM]
     seen = {BOTTOM}
-    frontier = list(out)
     for _ in range(depth):
         layer = []
         for m in labels:
@@ -57,15 +56,9 @@ def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
                     seen.add(t)
                     layer.append(t)
         out.extend(layer)
-        frontier = layer
         if not layer:
             break
     return tuple(out)
-
-
-def unit_labeled_terms(sig: FunctorSig, depth: int) -> tuple:
-    """Terms of depth <= depth whose labels are all the monoid unit."""
-    return terms_up_to(sig, depth, labels=(sig.monoid.unit,))
 
 
 def render_term(t) -> str:
@@ -114,9 +107,6 @@ class Algebra:
     @property
     def term_based(self) -> bool:
         return self.tag in ("initial", "bounded")
-
-    def apply(self, v):
-        return self.alpha(v)
 
     def carrier(self, depth: int = 3, labels=None):
         """(elements, complete): the full carrier or an initial segment."""
@@ -173,19 +163,6 @@ def fold(b: Algebra, t):
     return b.alpha(Node(t.label, tuple(fold(b, s) for s in t.slots)))
 
 
-def is_algebra_morphism(f, a: Algebra, b: Algebra, depth: int = 3, labels=None) -> bool:
-    """Check f . alpha = beta . map f on all enumerated values."""
-    if a.sig != b.sig:
-        return False
-    g = f.__getitem__ if isinstance(f, dict) else f
-    elems, _ = a.carrier(depth, labels)
-    from .kernel import fvalues
-    for v in fvalues(a.sig, elems, labels):
-        if g(a.alpha(v)) != b.alpha(functor_map(a.sig, g, v)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # coalgebras
 
@@ -198,9 +175,6 @@ class Coalgebra:
     states: tuple
     chi: dict
     name: str = ""
-
-    def unfold(self, c):
-        return self.chi[c]
 
     def __repr__(self):
         return f"Coalgebra({self.name or len(self.states)}:{self.sig!r})"
@@ -261,7 +235,7 @@ def term_unfold_coalgebra(sig: FunctorSig, n: int, labels=None, name: str = "") 
 
 def shape_coalgebra(sig: FunctorSig, n: int) -> Coalgebra:
     """All unit-labelled shapes of depth <= n, unfolding into subshapes."""
-    states = unit_labeled_terms(sig, n)
+    states = terms_up_to(sig, n, labels=(sig.monoid.unit,))
     return Coalgebra(sig, states, {t: t for t in states}, name=f"shapes{n}")
 
 
@@ -298,25 +272,3 @@ def coalgebras_identical(c: Coalgebra, d: Coalgebra) -> bool:
     """Structural identity: same signature, same states, same unfolding map."""
     return c.sig == d.sig and c.states == d.states and c.chi == d.chi
 
-
-# ---------------------------------------------------------------------------
-# named gallery carriers
-
-
-def builtin_carriers(name: str, **params):
-    """Construct one of the named gallery carriers.
-
-    nat_counter(n); shape_coalg(sig, n); perfect_shape(sig, n);
-    nat_bounded(n); list_bounded(monoid, n); tree_bounded(monoid, n).
-    """
-    makers = {
-        "nat_counter": lambda n: nat_counter(n),
-        "shape_coalg": lambda sig, n: shape_coalgebra(sig, n),
-        "perfect_shape": lambda sig, n: perfect_shape(sig, n),
-        "nat_bounded": lambda n: term_algebra_bounded(shape_sig(TRIV, 1), n),
-        "list_bounded": lambda monoid, n: term_algebra_bounded(shape_sig(monoid, 1), n),
-        "tree_bounded": lambda monoid, n: term_algebra_bounded(shape_sig(monoid, 2), n),
-    }
-    if name not in makers:
-        raise ValueError(f"unknown carrier {name!r}; known: {sorted(makers)}")
-    return makers[name](**params)

@@ -4,8 +4,8 @@ cind check FILE [--json] [--budget N]   run a script's checks
 cind demo prune --shape S --tree T      overlay a fuel shape onto a tree
 cind gallery NAME [--json]              run a named example setup
 
-Exit codes: 0 all checks hold, 1 a check failed, 2 usage or parse error,
-3 a budget was exceeded.  CIND_BUDGET overrides the default budget.
+Exit codes: 0 all checks hold, 1 a check failed, 2 usage, parse or script
+error, 3 a budget was exceeded.  CIND_BUDGET overrides the default budget.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def main(argv=None, out=None) -> int:
     if args.command == "demo":
         if args.demo_command == "prune":
             return cmd_demo_prune(args, out)
-        parser.parse_args(["demo", "--help"])
+        p_demo.print_help(out)
         return 2
     if args.command == "gallery":
         return cmd_gallery(args, out)

@@ -656,9 +656,7 @@ def elaborate(script: Script) -> dict:
                 env[d.name] = (d.which, _build_carrier(d, ref))
             elif isinstance(d, (MeasureDecl, CheckDecl)):
                 pass  # executed by run
-        except (ValueError, KeyError, transport.AdjointUnsupportedError) as exc:
-            if isinstance(exc, ScriptRunError):
-                raise
+        except (ValueError, KeyError) as exc:
             raise _err(d.pos, str(exc)) from exc
     return env
 
@@ -720,22 +718,26 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
     """Execute the script's measure and check declarations.
 
     Returns (reports, exit_code): 0 all checks hold, 1 some check fails,
-    3 a budget was exhausted.
+    3 a budget was exhausted.  A ValueError raised while running a
+    declaration becomes a ScriptRunError at that declaration's position.
     """
     env = elaborate(script)
     reports = []
     for d in script.decls:
-        if isinstance(d, MeasureDecl):
-            c, a, b = env[d.coalg][1], env[d.source][1], env[d.target][1]
-            result = oracle.solve_measurings(c, a, b, budget)
-            status = ("budget" if not result.exhaustive
-                      else "holds" if result.solutions else "fails")
-            reports.append(oracle.CheckReport(
-                "solve", d.name, status, (f"{len(result.solutions)} lawful tables",)))
-            table = result.solutions[0] if result.solutions else {}
-            env[d.name] = ("measure", measuring.Measuring(c, a, b, table=table, name=d.name))
-        elif isinstance(d, CheckDecl):
-            reports.append(_run_check(d, env, budget))
+        try:
+            if isinstance(d, MeasureDecl):
+                c, a, b = env[d.coalg][1], env[d.source][1], env[d.target][1]
+                result = oracle.solve_measurings(c, a, b, budget)
+                status = ("budget" if not result.exhaustive
+                          else "holds" if result.solutions else "fails")
+                reports.append(oracle.CheckReport(
+                    "solve", d.name, status, (f"{len(result.solutions)} lawful tables",)))
+                table = result.solutions[0] if result.solutions else {}
+                env[d.name] = ("measure", measuring.table_measuring(c, a, b, table, d.name))
+            elif isinstance(d, CheckDecl):
+                reports.append(_run_check(d, env, budget))
+        except ValueError as exc:
+            raise _err(d.pos, str(exc)) from exc
     if any(r.status == "fails" for r in reports):
         code = 1
     elif any(r.status == "budget" for r in reports):

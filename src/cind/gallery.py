@@ -7,6 +7,7 @@ a list of oracle reports that must all hold.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .carriers import (coalgebra, finite_algebra, initial_term_algebra,
@@ -22,7 +23,8 @@ from .measuring import (Measuring, canonical_const_measuring,
                         embed_measuring, pull_measuring, push_measuring)
 from .oracle import (CheckReport, DEFAULT_BUDGET, check_adjunction,
                      check_c_initial, check_preserves_c_initial,
-                     check_respects_composition, random_algebras)
+                     check_respects_composition, random_algebra,
+                     random_algebras)
 from .transport import (expand_algebra, pullback_algebra,
                         pushforward_coalgebra, pushout_algebra,
                         restrict_coalgebra)
@@ -32,7 +34,6 @@ from .transport import (expand_algebra, pullback_algebra,
 class Fixture:
     name: str
     title: str
-    objects: dict
     reports: list
     goldens: list = field(default_factory=list)
     measurings: list = field(default_factory=list)  # (Measuring, check_law kwargs)
@@ -76,9 +77,8 @@ def build_nat_as_lists(budget: int = DEFAULT_BUDGET) -> Fixture:
               canonical_term_measuring(c, n2, n2))
              for d in (unit_coalgebra(f), c2) for c in (unit_coalgebra(f), c2)]),
     ]
-    objects = {"F": f, "G": g, "mu": mu, "nu": nu, "N2": n2, "C2": c2}
     return Fixture("nat_as_lists", "numbers embedded as label-blind lists",
-                   objects, reports,
+                   reports,
                    measurings=[(phi, {}), (emb, {}), (comp, {})])
 
 
@@ -102,9 +102,7 @@ def build_truth_monoid(budget: int = DEFAULT_BUDGET) -> Fixture:
     pushed = push_measuring(mu, phi)
     comp = compose(phi, phi)
 
-    import random
     rng = random.Random(23)
-    from .oracle import random_algebra
     instances = [(random_algebra(ca, s, rng), random_algebra(co, t, rng))
                  for s in (2, 3) for t in (2, 3)]
 
@@ -120,12 +118,10 @@ def build_truth_monoid(budget: int = DEFAULT_BUDGET) -> Fixture:
         check_adjunction(mu, "bang", instances),
         check_respects_composition("push", [(mu, phi, phi)]),
     ]
-    objects = {"CA": ca, "CO": co, "flip": flip, "mu": mu, "A3": a3,
-               "pushout": p3, "AM": am, "Cc": cc}
     goldens = ["classes " + " | ".join(
         "{" + ", ".join(f"{k}:{v}" for k, v in cls) + "}" for cls in p3.classes)]
     return Fixture("truth_monoid", "pushout along the truth-swapping hom",
-                   objects, reports, goldens,
+                   reports, goldens,
                    measurings=[(phi, {}), (pushed, {}), (comp, {})])
 
 
@@ -169,10 +165,8 @@ def build_pulling_back_lists(budget: int = DEFAULT_BUDGET) -> Fixture:
         check_c_initial(c2, n2, targets, budget),
         check_respects_composition("pull", [(mu, zip2, zip2)]),
     ]
-    objects = {"F": f, "G": g, "mu": mu, "L2": l2, "L2d": l2d, "sub": sub,
-               "N2": n2, "C2": c2}
     return Fixture("pulling_back_lists", "list zips restricted to length fuel",
-                   objects, reports,
+                   reports,
                    measurings=[(zipm, {}), (pulled, {}), (minm, {}), (comp, {})])
 
 
@@ -240,10 +234,8 @@ def build_tree_pruning(budget: int = DEFAULT_BUDGET) -> Fixture:
         check_c_initial(pushed_fuel, t1, targets, budget),
         check_respects_composition("push", [(mub, zipb, zipb)]),
     ]
-    objects = {"G": g, "H": h, "mu": mu, "trees": trees, "loop": loop,
-               "GB": gb, "HB": hb, "mub": mub, "L1": l1, "L1d": l1d, "T1": t1}
     return Fixture("tree_pruning", "shape-directed pruning and its transports",
-                   objects, reports, goldens,
+                   reports, goldens,
                    measurings=[(loop_phi, {"depth": 2, "labels": (0, 1, 2)}),
                                (pushed, {"depth": 2, "labels": (0, 1, 2)}),
                                (zipb, {})])
@@ -284,9 +276,8 @@ def build_intro_examples(budget: int = DEFAULT_BUDGET) -> Fixture:
                                   targets_f, targets_h, budget),
     ]
     goldens = [f"perfect 2 -> {render_term(perfect2)}"]
-    objects = {"F": f, "H": hm, "mu": mu, "T1": t1, "S1": s1, "N2": n2}
     return Fixture("intro_examples", "bounded trees, perfect embeddings, depth fuel",
-                   objects, reports, goldens,
+                   reports, goldens,
                    measurings=[(prune1, {})])
 
 

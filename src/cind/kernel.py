@@ -11,7 +11,7 @@ reorders/duplicates slots through a total reindexing map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 STAR = "*"
@@ -51,7 +51,6 @@ class Monoid:
     elements: tuple | None  # None: builtin symbolic carrier (naturals)
     op: Callable[[Any, Any], Any]
     unit: Any
-    table: dict = field(default=None, repr=False)
 
     @property
     def finite(self) -> bool:
@@ -84,12 +83,7 @@ def finite_monoid(name: str, elements, op: Callable, unit) -> Monoid:
             if c not in eset:
                 raise ValueError(f"{name}: op({a!r},{b!r}) = {c!r} leaves the carrier")
             table[a, b] = c
-    return Monoid(name, elements, lambda a, b: table[a, b], unit, table)
-
-
-def table_monoid(name: str, elements, table: dict, unit) -> Monoid:
-    """Finite monoid given directly by its table."""
-    return finite_monoid(name, elements, lambda a, b: table[a, b], unit)
+    return Monoid(name, elements, lambda a, b: table[a, b], unit)
 
 
 TRIV = finite_monoid("Triv", ("e",), lambda a, b: "e", "e")

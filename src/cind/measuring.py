@@ -28,37 +28,36 @@ class MeasuringLawError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Measuring:
-    """Measuring data: fuel machine, source and target algebras, and the map,
-    stored as a finite table or as a recursion rule."""
+    """Measuring data: fuel machine, source and target algebras, and the map
+    (fuel state, source element) -> target element as a callable."""
 
     coalg: Coalgebra
     source: Algebra
     target: Algebra
-    table: dict = None
-    rule: Callable = None
+    rule: Callable
     name: str = ""
 
     def eval(self, c, a):
-        if self.table is not None:
-            try:
-                return self.table[c, a]
-            except KeyError:
-                raise ValueError(f"measuring {self.name} undefined at {(c, a)!r}") from None
         return self.rule(c, a)
 
     def __call__(self, c, a):
         return self.eval(c, a)
-
-    def tabulate(self, depth: int = 3, labels=None) -> dict:
-        elems, _ = self.source.carrier(depth, labels)
-        return {(c, a): self.eval(c, a) for c in self.coalg.states for a in elems}
 
     def __repr__(self):
         return f"Measuring({self.name or 'phi'}: {self.coalg!r} (x) {self.source!r} -> {self.target!r})"
 
 
 def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") -> Measuring:
-    return Measuring(c, a, b, table=dict(table), name=name)
+    """A measuring read off a finite table keyed by (state, element)."""
+    table = dict(table)
+
+    def lookup(s, x):
+        try:
+            return table[s, x]
+        except KeyError:
+            raise ValueError(f"measuring {name} undefined at {(s, x)!r}") from None
+
+    return Measuring(c, a, b, lookup, name)
 
 
 def rule_measuring(c: Coalgebra, a: Algebra, b: Algebra, rule, name="") -> Measuring:
@@ -165,7 +164,7 @@ def canonical_const_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> 
     op = a.sig.monoid.op
     table = {(s, e): b.alpha(op(c.chi[s], pre[e]))
              for s in c.states for e in a.elements}
-    return Measuring(c, a, b, table=table, name=name or "label-mul")
+    return table_measuring(c, a, b, table, name or "label-mul")
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,7 @@ def embed_measuring(nu: NatTransform, mu: NatTransform, phi: Measuring,
     out = Measuring(pushforward_coalgebra(mu, phi.coalg),
                     pullback_algebra(nu, phi.source),
                     pullback_algebra(nu, phi.target),
-                    table=phi.table, rule=phi.rule,
-                    name=f"embed[{phi.name}]")
+                    phi.rule, name=f"embed[{phi.name}]")
     if verify:
         report = check_law(out, depth, labels)
         if not report.ok:
@@ -255,9 +253,8 @@ def push_measuring(mu: NatTransform, phi: Measuring,
                 else:
                     out = pb.class_of[("mon", op2(fuel, x))]
                 table[s, rep] = out
-        return Measuring(pushforward_coalgebra(mu, phi.coalg),
-                         pa.algebra, pb.algebra, table=table,
-                         name=f"push[{phi.name}]")
+        return table_measuring(pushforward_coalgebra(mu, phi.coalg),
+                               pa.algebra, pb.algebra, table, f"push[{phi.name}]")
 
     ea = expanded_source or expand_algebra(mu, phi.source)
     eb = expanded_target or expand_algebra(mu, phi.target)
@@ -296,18 +293,29 @@ def pull_measuring(mu: NatTransform, phi: Measuring, sub=None) -> Measuring:
 # comparison and serialisation
 
 
+def _pointwise_mismatches(lhs: Measuring, rhs: Measuring, states, elems,
+                          state_map=None, limit=10) -> list:
+    """Up to limit (state, element, lhs value, rhs value) where the two maps
+    differ; state_map translates lhs's fuel states into rhs's."""
+    out = []
+    for s in states:
+        t = state_map(s) if state_map else s
+        for e in elems:
+            x, y = lhs.eval(s, e), rhs.eval(t, e)
+            if x != y:
+                out.append((s, e, x, y))
+                if len(out) >= limit:
+                    return out
+    return out
+
+
 def measurings_equal(m1: Measuring, m2: Measuring, elems=None, depth: int = 3,
                      labels=None, state_map=None) -> bool:
     """Pointwise equality over the enumerated domain; state_map translates
     m1's fuel states into m2's."""
     if elems is None:
         elems, _ = m1.source.carrier(depth, labels)
-    trans = state_map or (lambda s: s)
-    for c in m1.coalg.states:
-        for a in elems:
-            if m1.eval(c, a) != m2.eval(trans(c), a):
-                return False
-    return True
+    return not _pointwise_mismatches(m1, m2, m1.coalg.states, elems, state_map, limit=1)
 
 
 def measuring_to_json(phi: Measuring, depth: int = 3, labels=None) -> dict:

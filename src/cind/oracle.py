@@ -1,8 +1,9 @@
 """Exhaustive checkers: a propagation/backtracking solver that enumerates
 every lawful measuring table between finite carriers, a raw filter oracle it
-is cross-validated against, morphism enumeration, and the claim-level
+is cross-validated against, machine morphism enumeration, and the claim-level
 checkers (unique-measuring initiality, preinitiality, composition respect,
-adjunction bijections, initiality preservation).
+adjunction bijections, initiality preservation).  Algebra morphisms are
+enumerated as the measurings by the one-state unit machine.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import random
 from dataclasses import dataclass
 
 from .carriers import (Algebra, Coalgebra, coalgebra, render_value,
-                       table_algebra)
-from .kernel import (BOTTOM, CONST, FunctorSig, NatTransform, Node,
+                       table_algebra, unit_coalgebra)
+from .kernel import (BOTTOM, CONST, STAR, FunctorSig, NatTransform, Node,
                      functor_map, fvalues, is_bottom, zip_values)
-from .measuring import Measuring, compose, pull_measuring, push_measuring
-from .transport import (expand_algebra, pushforward_coalgebra, pushout_algebra,
+from .measuring import (_pointwise_mismatches, compose, embed_measuring,
+                        pull_measuring, push_measuring, table_measuring)
+from .transport import (expand_algebra, pullback_algebra,
+                        pushforward_coalgebra, pushout_algebra,
                         pushout_transpose, pushout_untranspose,
                         restrict_coalgebra, restriction_untranspose)
 
@@ -191,7 +194,7 @@ def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,
 
 
 def solutions_as_measurings(c, a, b, result: SolveResult) -> list:
-    return [Measuring(c, a, b, table=t, name=f"solution{i}")
+    return [table_measuring(c, a, b, t, f"solution{i}")
             for i, t in enumerate(result.solutions)]
 
 
@@ -225,21 +228,12 @@ def raw_lawful_tables(c: Coalgebra, a: Algebra, b: Algebra,
 # morphism enumeration
 
 
-def algebra_morphisms(a: Algebra, b: Algebra, cap: int = 2 ** 20) -> tuple:
-    """All structure-preserving maps between finite algebras, as dicts."""
-    if a.elements is None or b.elements is None:
-        raise ValueError("morphism enumeration needs finite carriers")
-    total = len(b.elements) ** len(a.elements)
-    if total > cap:
-        raise ValueError(f"{total} candidate maps exceed the cap {cap}")
-    values = fvalues(a.sig, a.elements)
-    out = []
-    for combo in itertools.product(b.elements, repeat=len(a.elements)):
-        f = dict(zip(a.elements, combo))
-        if all(f[a.alpha(v)] == b.alpha(functor_map(a.sig, f.__getitem__, v))
-               for v in values):
-            out.append(f)
-    return tuple(out)
+def _algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET):
+    """(morphisms a -> b as dicts, exhaustive): the measurings by the unit
+    machine, with its one state stripped from the table keys."""
+    result = solve_measurings(unit_coalgebra(a.sig), a, b, budget)
+    morphs = tuple({x: t[STAR, x] for x in a.elements} for t in result.solutions)
+    return morphs, result.exhaustive
 
 
 def coalgebra_morphisms(c: Coalgebra, d: Coalgebra, cap: int = 2 ** 20) -> tuple:
@@ -279,12 +273,6 @@ def random_algebras(sig: FunctorSig, sizes, per_size: int, seed: int) -> list:
             for size in sizes for i in range(per_size)]
 
 
-def random_coalgebras(sig: FunctorSig, sizes, per_size: int, seed: int) -> list:
-    rng = random.Random(seed)
-    return [random_coalgebra(sig, size, rng, name=f"randm{size}.{i}")
-            for size in sizes for i in range(per_size)]
-
-
 # ---------------------------------------------------------------------------
 # claim-level checks
 
@@ -307,33 +295,23 @@ def check_c_initial(c: Coalgebra, a: Algebra, targets,
 
 
 def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
-                                 cap: int = 2 ** 20) -> CheckReport:
+                                 budget: int = DEFAULT_BUDGET) -> CheckReport:
     """At most one morphism out of p, and at most one lawful measuring per
-    fuel machine in the given family."""
+    fuel machine in the given family.  Status is budget when any solve ran
+    out of budget."""
     witnesses = []
-    morphs = algebra_morphisms(p, b, cap)
+    morphs, exhaustive = _algebra_morphisms(p, b, budget)
     if len(morphs) > 1:
         witnesses.append(f"{len(morphs)} morphisms {p.name} -> {b.name}")
         witnesses.extend(str(sorted(m.items(), key=str)) for m in morphs[:2])
     for c in coalgebras:
-        result = solve_measurings(c, p, b)
+        result = solve_measurings(c, p, b, budget)
+        exhaustive = exhaustive and result.exhaustive
         if len(result.solutions) > 1:
             witnesses.append(f"{len(result.solutions)} measurings by {c.name}")
-    status = "holds" if not witnesses else "fails"
+    status = "budget" if not exhaustive else ("holds" if not witnesses else "fails")
     return CheckReport("preinitial-subterminal", f"{p.name} -> {b.name}",
                        status, tuple(witnesses))
-
-
-def _pointwise_mismatches(lhs: Measuring, rhs: Measuring, states, elems, limit=10):
-    out = []
-    for s in states:
-        for e in elems:
-            a, b = lhs.eval(s, e), rhs.eval(s, e)
-            if a != b:
-                out.append((s, e, a, b))
-                if len(out) >= limit:
-                    return out
-    return out
 
 
 def check_respects_composition(kind: str, instances, depth: int = 3,
@@ -350,7 +328,6 @@ def check_respects_composition(kind: str, instances, depth: int = 3,
     for inst in instances:
         count += 1
         if kind == "embed":
-            from .measuring import embed_measuring
             nu, mu, psi, phi = inst
             lhs = embed_measuring(nu, mu, compose(psi, phi), verify=False)
             rhs = compose(embed_measuring(nu, mu, psi, verify=False),
@@ -391,18 +368,24 @@ def check_adjunction(mu: NatTransform, side: str, instances,
     morphisms A -> pullback(B) must biject with morphisms pushout(A) -> B
     via the transposes.  side "shriek": instances are (D, C) machine pairs;
     morphisms D -> restrict(C) must biject with morphisms push(D) -> C via
-    post-composition with the inclusion.
+    post-composition with the inclusion.  ``cap`` bounds the candidate maps
+    of the machine morphism enumeration.
     """
     witnesses = []
     count = 0
+    ran_out = False
     for inst in instances:
         count += 1
         tag = f"instance {count}"
         if side == "bang":
             a, b = inst
             p = pushout_algebra(mu.hom, a)
-            fs = algebra_morphisms(a, _pullback(mu, b), cap)
-            gs = algebra_morphisms(p.algebra, b, cap)
+            fs, f_done = _algebra_morphisms(a, pullback_algebra(mu, b))
+            gs, g_done = _algebra_morphisms(p.algebra, b)
+            if not (f_done and g_done):
+                ran_out = True
+                witnesses.append((tag, "budget exceeded"))
+                continue
             if len(fs) != len(gs):
                 witnesses.append((tag, "counts", len(fs), len(gs)))
                 continue
@@ -430,14 +413,9 @@ def check_adjunction(mu: NatTransform, side: str, instances,
                     witnesses.append((tag, "round trip failed", str(f)))
         else:
             raise ValueError(f"unknown adjunction side {side!r}")
-    status = "holds" if not witnesses else "fails"
+    status = "budget" if ran_out else ("holds" if not witnesses else "fails")
     return CheckReport(f"adjunction[{side}]", f"{count} instances", status,
                        tuple(witnesses))
-
-
-def _pullback(mu, b):
-    from .transport import pullback_algebra
-    return pullback_algebra(mu, b)
 
 
 def check_preserves_c_initial(mu: NatTransform, c: Coalgebra, a: Algebra,

@@ -15,8 +15,8 @@ from typing import Any
 
 from .carriers import (Algebra, Coalgebra, initial_term_algebra,
                        is_coalgebra_morphism, term_algebra_bounded)
-from .kernel import (BOTTOM, CONST, SHAPE, NatTransform, Node, is_bottom,
-                     nat_apply)
+from .kernel import (BOTTOM, CONST, SHAPE, NatTransform, Node, const_sig,
+                     is_bottom, nat_apply)
 
 
 class AdjointUnsupportedError(ValueError):
@@ -115,7 +115,6 @@ def pushout_algebra(h, a: Algebra) -> PushoutAlgebra:
             class_of[it] = rep
         reps[rep] = cls
 
-    from .kernel import const_sig
     alg = Algebra(const_sig(m2), lambda x2: class_of[("mon", x2)],
                   tuple(cls[0] for cls in classes), "derived",
                   name=f"pushout[{a.name}]")
@@ -145,55 +144,6 @@ def _expand_term(mu: NatTransform, t):
         return BOTTOM
     return Node(mu.hom.apply(t.label),
                 tuple(_expand_term(mu, t.slots[i]) for i in mu.reindex))
-
-
-# expansion via single steps on an explicit leaf marker, used to exercise
-# order-independence of normalisation
-@dataclass(frozen=True, slots=True)
-class _Leaf:
-    term: Any
-
-
-def _leaf_positions(t, prefix=()):
-    if isinstance(t, _Leaf):
-        yield prefix
-    elif not is_bottom(t):
-        for i, s in enumerate(t.slots):
-            yield from _leaf_positions(s, prefix + (i,))
-
-
-def _replace(t, pos, sub):
-    if not pos:
-        return sub
-    i = pos[0]
-    return Node(t.label, tuple(_replace(s, pos[1:], sub) if j == i else s
-                               for j, s in enumerate(t.slots)))
-
-
-def _expand_one(mu: NatTransform, t, pos):
-    inner = t
-    for i in pos:
-        inner = inner.slots[i]
-    src = inner.term
-    if is_bottom(src):
-        return _replace(t, pos, BOTTOM)
-    expanded = Node(mu.hom.apply(src.label),
-                    tuple(_Leaf(src.slots[i]) for i in mu.reindex))
-    return _replace(t, pos, expanded)
-
-
-def expand_any_order(mu: NatTransform, t, rng=None):
-    """Normalise Leaf(t) by repeatedly expanding one leaf occurrence; the
-    choice of occurrence is irrelevant to the result."""
-    # dummy root so positions address the initial leaf uniformly
-    root = Node(None, (_Leaf(t),))
-    while True:
-        positions = list(_leaf_positions(root))
-        if not positions:
-            break
-        pos = positions[0] if rng is None else rng.choice(positions)
-        root = _expand_one(mu, root, pos)
-    return root.slots[0]
 
 
 def expand_algebra(mu: NatTransform, a: Algebra) -> ExpandedAlgebra:
@@ -316,11 +266,6 @@ def pushout_transpose(p: PushoutAlgebra, b: Algebra, f: dict) -> dict:
 def pushout_untranspose(p: PushoutAlgebra, g: dict) -> dict:
     """Inverse transpose: restrict a morphism out of the quotient to the base."""
     return {a: g[p.embed(a)] for a in p.base.elements}
-
-
-def restriction_transpose(sub: SubCoalgebra, f: dict) -> dict:
-    """Post-compose a morphism into the restriction with the inclusion."""
-    return {d: f[d] for d in f}
 
 
 def restriction_untranspose(sub: SubCoalgebra, d: Coalgebra, g: dict) -> dict:

@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from cind.carriers import (Algebra, builtin_carriers, coalgebra,
-                           coalgebras_identical, fold, initial_term_algebra,
-                           is_algebra_morphism, nat_counter, perfect_shape,
+from cind.carriers import (Algebra, coalgebra, coalgebras_identical, fold,
+                           initial_term_algebra, nat_counter, perfect_shape,
                            render_term, shape_coalgebra, tensor_coalgebra,
                            term_algebra_bounded, term_as_coalgebra,
                            term_depth, term_unfold_coalgebra, terms_up_to,
                            truncate_term, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, const_sig,
                          functor_map, fvalues, is_bottom, node, shape_sig)
+from cind.measuring import check_law, from_morphism
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -209,13 +209,11 @@ def test_term_as_coalgebra_collects_subterms():
 
 
 def test_builtin_carriers_dispatch():
-    assert builtin_carriers("nat_counter", n=2).states == (0, 1, 2)
-    assert builtin_carriers("nat_bounded", n=1).elements == (_numeral(0), _numeral(1))
-    assert len(builtin_carriers("tree_bounded", monoid=BOOL_OR, n=1).elements) == 3
-    assert len(builtin_carriers("list_bounded", monoid=BOOL_OR, n=2).elements) == 7
-    assert len(builtin_carriers("shape_coalg", sig=H2, n=1).states) == 2
-    with pytest.raises(ValueError):
-        builtin_carriers("mystery")
+    assert nat_counter(2).states == (0, 1, 2)
+    assert term_algebra_bounded(F1, 1).elements == (_numeral(0), _numeral(1))
+    assert len(term_algebra_bounded(H2, 1).elements) == 3
+    assert len(term_algebra_bounded(G1, 2).elements) == 7
+    assert len(shape_coalgebra(H2, 1).states) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,8 @@ def test_morphism_checks():
                    tag="derived", name="nat")
     bounded = term_algebra_bounded(F1, 2)
     f = {t: min(fold(nats, t), 9) for t in bounded.elements}
-    assert is_algebra_morphism(f, bounded, nats) is False  # saturation breaks it
+    # saturation breaks it
+    assert not check_law(from_morphism(f, bounded, nats, verify=False)).ok
     g = {i: min(i + 1, 2) for i in range(3)}
     two = nat_counter(2)
     assert not coalgebras_identical(two, nat_counter(3))

@@ -299,3 +299,37 @@ def test_cli_gallery_unknown_name():
 def test_cli_no_command_is_usage_error():
     code, _ = _main([])
     assert code == 2
+
+
+def test_cli_demo_without_subcommand_is_usage_error():
+    code, _ = _main(["demo"])
+    assert code == 2
+
+
+def _check_script(tmp_path, text):
+    path = tmp_path / "script.cind"
+    path.write_text(text)
+    return _main(["check", str(path)])
+
+
+def test_cli_label_outside_carrier_is_a_run_error(tmp_path, capsys):
+    code, _ = _check_script(tmp_path, """monoid B = table {0, 1} max 0
+functor K = const(B)
+alg A = constalg(K, {x, y}, {0 -> x, 1 -> z})
+coalg C = machine(K, {c -> 0})
+check unique C A A
+""")
+    assert code == 2
+    assert "5:1: structure map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["check unique D L L", "check c-initial D L"])
+def test_cli_check_over_builtin_nat_is_a_run_error(tmp_path, capsys, check):
+    code, _ = _check_script(tmp_path, f"""monoid N = builtin nat
+functor G = shape(N, 1)
+alg L = initial(G)
+coalg D = counter(G, 2)
+{check}
+""")
+    assert code == 2
+    assert "5:1:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          functor_map, fvalues, hom, hom_check, identity_hom,
                          identity_nat, is_bottom, monoid_check, nat_apply,
                          nat_check_lax, nat_transform, node, shape_sig,
-                         const_sig, table_monoid, unit_hom, unit_value,
+                         const_sig, unit_hom, unit_value,
                          zip_values)
 
 
@@ -28,7 +28,7 @@ def test_nat_plus_sampled_is_clean():
 def test_non_associative_table_is_reported():
     # truncated-subtraction-like table: op(a, b) = a unless b wipes it
     table = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
-    m = table_monoid("Sub", (0, 1), table, 0)
+    m = finite_monoid("Sub", (0, 1), lambda a, b: table[a, b], 0)
     report = monoid_check(m)
     assert not report.ok
     # independent oracle: exhaust all 8 triples by hand
@@ -42,7 +42,7 @@ def test_non_associative_table_is_reported():
 
 def test_unit_violation_reported():
     table = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
-    m = table_monoid("Sub", (0, 1), table, 0)
+    m = finite_monoid("Sub", (0, 1), lambda a, b: table[a, b], 0)
     kinds = {v[0] for v in monoid_check(m).violations}
     assert "unit-left" in kinds
 

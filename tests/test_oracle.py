@@ -9,8 +9,8 @@ from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
                          const_sig, identity_hom, identity_nat, is_bottom,
                          nat_transform, shape_sig, unit_hom)
 from cind.measuring import canonical_term_measuring, check_law
-from cind.oracle import (algebra_morphisms, check_adjunction,
-                         check_c_initial, check_preinitial_subterminal,
+from cind.oracle import (check_adjunction, check_c_initial,
+                         check_preinitial_subterminal,
                          check_preserves_c_initial,
                          check_respects_composition, random_algebra,
                          random_algebras, random_coalgebra,
@@ -79,7 +79,7 @@ def test_unit_fuel_gives_exactly_the_fold_when_it_exists():
     for _ in range(6):
         b = random_algebra(F1, 3, rng)
         result = solve_measurings(unit_coalgebra(F1), n2, b)
-        morphs = algebra_morphisms(n2, b)
+        morphs = raw_lawful_tables(unit_coalgebra(F1), n2, b)
         assert len(result.solutions) == len(morphs) <= 1
         for table in result.solutions:
             assert all(table[STAR, t] == fold(b, t) for t in n2.elements)
@@ -192,6 +192,13 @@ def test_bounded_terms_are_preinitial():
         report = check_preinitial_subterminal(
             p, b, coalgebras=[shape_coalgebra(shape_sig(TRIV, 2), 1)])
         assert report.ok
+
+
+def test_preinitial_check_reports_an_exhausted_budget():
+    p = term_algebra_bounded(shape_sig(TRIV, 2), 1)
+    b = random_algebra(shape_sig(TRIV, 2), 2, random.Random(12))
+    assert check_preinitial_subterminal(p, b).ok
+    assert check_preinitial_subterminal(p, b, budget=1).status == "budget"
 
 
 def test_two_constant_algebra_is_not_preinitial():

@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
@@ -7,16 +9,15 @@ from cind.carriers import (coalgebra, coalgebras_identical, finite_algebra,
                            initial_term_algebra, nat_counter, perfect_shape,
                            term_algebra_bounded, term_unfold_coalgebra,
                            tensor_coalgebra, unit_coalgebra)
-from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, TRIV, TRUTH_AND,
-                         TRUTH_OR, collapse_hom, const_sig, hom,
-                         identity_hom, identity_nat, is_bottom,
-                         nat_transform, node, shape_sig, unit_hom)
+from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
+                         TRUTH_OR, NatTransform, Node, collapse_hom,
+                         const_sig, hom, identity_hom, identity_nat,
+                         is_bottom, nat_transform, node, shape_sig, unit_hom)
 from cind.transport import (AdjointUnsupportedError, expand_algebra,
-                            expand_any_order, pullback_algebra,
-                            pushforward_coalgebra, pushout_algebra,
-                            pushout_transpose, pushout_untranspose,
-                            restrict_coalgebra, restriction_inclusion,
-                            restriction_untranspose)
+                            pullback_algebra, pushforward_coalgebra,
+                            pushout_algebra, pushout_transpose,
+                            pushout_untranspose, restrict_coalgebra,
+                            restriction_inclusion, restriction_untranspose)
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -129,13 +130,18 @@ def test_pushout_from_trivial_labels():
 
 def test_pushout_transposes_roundtrip():
     rng = random.Random(3)
-    from cind.oracle import algebra_morphisms, random_algebra
+    from cind.oracle import random_algebra, raw_lawful_tables
     a = random_algebra(const_sig(TRUTH_AND), 3, rng)
     b = random_algebra(const_sig(TRUTH_OR), 2, rng)
     p = pushout_algebra(FLIP, a)
     pulled = pullback_algebra(MU_FLIP, b)
-    fs = algebra_morphisms(a, pulled)
-    gs = algebra_morphisms(p.algebra, b)
+
+    def morphisms(x, y):
+        return [{e: t[STAR, e] for e in x.elements}
+                for t in raw_lawful_tables(unit_coalgebra(x.sig), x, y)]
+
+    fs = morphisms(a, pulled)
+    gs = morphisms(p.algebra, b)
     assert len(fs) == len(gs)
     for f in fs:
         g = pushout_transpose(p, b, f)
@@ -183,6 +189,55 @@ def test_expansion_requires_term_algebras():
     from cind.oracle import random_algebra
     with pytest.raises(AdjointUnsupportedError):
         expand_algebra(MU_TREE, random_algebra(F1, 2, rng))
+
+
+# reference normaliser: expansion via single steps on an explicit leaf
+# marker, so the order in which leaves expand can be chosen at random
+@dataclass(frozen=True, slots=True)
+class _Leaf:
+    term: Any
+
+
+def _leaf_positions(t, prefix=()):
+    if isinstance(t, _Leaf):
+        yield prefix
+    elif not is_bottom(t):
+        for i, s in enumerate(t.slots):
+            yield from _leaf_positions(s, prefix + (i,))
+
+
+def _replace(t, pos, sub):
+    if not pos:
+        return sub
+    i = pos[0]
+    return Node(t.label, tuple(_replace(s, pos[1:], sub) if j == i else s
+                               for j, s in enumerate(t.slots)))
+
+
+def _expand_one(mu: NatTransform, t, pos):
+    inner = t
+    for i in pos:
+        inner = inner.slots[i]
+    src = inner.term
+    if is_bottom(src):
+        return _replace(t, pos, BOTTOM)
+    expanded = Node(mu.hom.apply(src.label),
+                    tuple(_Leaf(src.slots[i]) for i in mu.reindex))
+    return _replace(t, pos, expanded)
+
+
+def expand_any_order(mu: NatTransform, t, rng=None):
+    """Normalise Leaf(t) by repeatedly expanding one leaf occurrence; the
+    choice of occurrence is irrelevant to the result."""
+    # dummy root so positions address the initial leaf uniformly
+    root = Node(None, (_Leaf(t),))
+    while True:
+        positions = list(_leaf_positions(root))
+        if not positions:
+            break
+        pos = positions[0] if rng is None else rng.choice(positions)
+        root = _expand_one(mu, root, pos)
+    return root.slots[0]
 
 
 def test_expansion_order_independent():
