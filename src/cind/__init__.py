@@ -3,8 +3,8 @@ machines, measurings between their algebras, and the transport of all of
 these along signature morphisms, with exhaustive desk-scale checkers."""
 
 from .kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
-                     TRUTH_OR, FunctorSig, LawReport, Monoid, MonoidHom,
-                     NatTransform, Node, collapse_hom, compose_nats,
+                     TRUTH_OR, FunctorSig, Monoid, MonoidHom, NatTransform,
+                     Node, Report, collapse_hom, compose_nats,
                      const_sig, finite_monoid, functor_map, fvalues, hom,
                      hom_check, identity_hom, identity_nat, is_bottom,
                      monoid_check, nat_apply, nat_check_lax, nat_transform,
@@ -27,9 +27,8 @@ from .measuring import (Measuring, MeasuringLawError,
                         canonical_const_measuring, canonical_term_measuring,
                         check_law, compose, embed_measuring, from_morphism,
                         measuring_to_json, measurings_equal, pull_measuring,
-                        push_measuring, rule_measuring, table_measuring,
-                        to_morphism)
-from .oracle import (CheckReport, DEFAULT_BUDGET, SolveResult,
+                        push_measuring, table_measuring, to_morphism)
+from .oracle import (DEFAULT_BUDGET, SolveResult,
                      check_adjunction, check_c_initial,
                      check_preinitial_subterminal, check_preserves_c_initial,
                      check_respects_composition, coalgebra_morphisms,

@@ -15,30 +15,20 @@ import json
 import os
 import sys
 
-from . import dsl, gallery, oracle
+from . import dsl, gallery, kernel, oracle
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("CIND_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return oracle.DEFAULT_BUDGET
-
-
-def _emit_reports(reports, as_json: bool, out) -> None:
-    if as_json:
-        print(dsl.reports_to_json(reports), file=out)
-    else:
-        for r in reports:
-            line = f"[{r.status}] {r.claim} {r.instance}"
-            if r.status != "holds" and r.witnesses:
-                line += f"  :: {r.witnesses[0]}"
-            print(line, file=out)
+    if env is None:
+        return oracle.DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        print(f"cind: CIND_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_check(args, out) -> int:
@@ -58,7 +48,11 @@ def cmd_check(args, out) -> int:
     except dsl.ScriptRunError as exc:
         print(f"cind: {exc}", file=sys.stderr)
         return 2
-    _emit_reports(reports, args.json, out)
+    if args.json:
+        print(dsl.reports_to_json(reports), file=out)
+    else:
+        for r in reports:
+            print(r.line(), file=out)
     return code
 
 
@@ -84,14 +78,9 @@ def cmd_gallery(args, out) -> int:
         print(json.dumps(payload, indent=2), file=out)
     else:
         print(f"# {fixture.name}: {fixture.title}", file=out)
-        for line in fixture.goldens:
+        for line in fixture.goldens + [r.line() for r in fixture.reports]:
             print(line, file=out)
-        _emit_reports(fixture.reports, False, out)
-    if any(r.status == "fails" for r in fixture.reports):
-        return 1
-    if any(r.status == "budget" for r in fixture.reports):
-        return 3
-    return 0
+    return kernel.exit_code(fixture.reports)
 
 
 def main(argv=None, out=None) -> int:
@@ -117,17 +106,17 @@ def main(argv=None, out=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.command == "check":
+            return cmd_check(args, out)
+        if args.command == "gallery":
+            return cmd_gallery(args, out)
+    except SystemExit as exc:  # argparse usage errors and a bad CIND_BUDGET
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "check":
-        return cmd_check(args, out)
     if args.command == "demo":
         if args.demo_command == "prune":
             return cmd_demo_prune(args, out)
         p_demo.print_help(out)
         return 2
-    if args.command == "gallery":
-        return cmd_gallery(args, out)
     parser.print_help(out)
     return 2
 

@@ -521,6 +521,7 @@ def _resolve(script: Script):
                 raise DslError(f"unknown check kind {d.kind!r}", *pos,
                                expected=sorted(_CHECK_KINDS))
             refs = [v for k, v in d.args if k == "ref"]
+            ints = [v for k, v in d.args if k == "int"]
             if d.kind == "law":
                 if len(refs) != 1:
                     raise DslError("check law needs one measuring", *pos)
@@ -531,14 +532,14 @@ def _resolve(script: Script):
                     raise DslError(f"check {d.kind} needs {len(want)} references", *pos)
                 for name, w in zip(refs, want):
                     need(name, w, pos)
+            if d.kind == "count" and not ints:
+                raise DslError("check count needs the expected number of measurings", *pos)
+            if d.kind == "c-initial" and any(k < 1 for k in ints):
+                raise DslError("check c-initial needs a size bound and per-size count >= 1", *pos)
 
 
 # ---------------------------------------------------------------------------
 # printing
-
-
-def _print_term(t) -> str:
-    return carriers.render_term(t)
 
 
 def _print_arg(arg) -> str:
@@ -548,13 +549,13 @@ def _print_arg(arg) -> str:
     if kind == "int":
         return str(val)
     if kind == "term":
-        return _print_term(val)
+        return carriers.render_term(val)
     if kind == "set":
         return "{" + ", ".join(map(str, val)) + "}"
     if kind == "map":
         parts = []
         for a, b in val:
-            rhs = _print_term(b[1]) if b[0] == "term" else str(b[1])
+            rhs = carriers.render_term(b[1]) if b[0] == "term" else str(b[1])
             parts.append(f"{a} -> {rhs}")
         return "{" + ", ".join(parts) + "}"
     raise ValueError(f"unknown argument kind {kind!r}")
@@ -717,9 +718,9 @@ def _build_carrier(d: CarrierDecl, ref):
 def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
     """Execute the script's measure and check declarations.
 
-    Returns (reports, exit_code): 0 all checks hold, 1 some check fails,
-    3 a budget was exhausted.  A ValueError raised while running a
-    declaration becomes a ScriptRunError at that declaration's position.
+    Returns (reports, kernel.exit_code(reports)).  A ValueError raised while
+    running a declaration becomes a ScriptRunError at that declaration's
+    position.
     """
     env = elaborate(script)
     reports = []
@@ -728,37 +729,26 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
             if isinstance(d, MeasureDecl):
                 c, a, b = env[d.coalg][1], env[d.source][1], env[d.target][1]
                 result = oracle.solve_measurings(c, a, b, budget)
-                status = ("budget" if not result.exhaustive
-                          else "holds" if result.solutions else "fails")
-                reports.append(oracle.CheckReport(
-                    "solve", d.name, status, (f"{len(result.solutions)} lawful tables",)))
+                reports.append(kernel.Report.of(
+                    "solve", d.name, (f"{len(result.solutions)} lawful tables",),
+                    failed=not result.solutions, ran_out=not result.exhaustive))
                 table = result.solutions[0] if result.solutions else {}
                 env[d.name] = ("measure", measuring.table_measuring(c, a, b, table, d.name))
             elif isinstance(d, CheckDecl):
                 reports.append(_run_check(d, env, budget))
         except ValueError as exc:
             raise _err(d.pos, str(exc)) from exc
-    if any(r.status == "fails" for r in reports):
-        code = 1
-    elif any(r.status == "budget" for r in reports):
-        code = 3
-    else:
-        code = 0
-    return reports, code
+    return reports, kernel.exit_code(reports)
 
 
-def _run_check(d: CheckDecl, env, budget) -> oracle.CheckReport:
+def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
     refs = [v for k, v in d.args if k == "ref"]
     ints = [v for k, v in d.args if k == "int"]
     if d.kind == "law":
-        phi = env[refs[0]][1]
         try:
-            report = measuring.check_law(phi)
+            return measuring.check_law(env[refs[0]][1], max_witnesses=5)
         except ValueError as exc:
-            return oracle.CheckReport("law", refs[0], "fails", (str(exc),))
-        status = "holds" if report.ok else "fails"
-        return oracle.CheckReport("law", refs[0], status,
-                                  tuple(str(v) for v in report.violations[:5]))
+            return kernel.Report.of("law", refs[0], (str(exc),))
     if d.kind == "c-initial":
         c, a = env[refs[0]][1], env[refs[1]][1]
         max_size = ints[0] if ints else 2
@@ -770,17 +760,15 @@ def _run_check(d: CheckDecl, env, budget) -> oracle.CheckReport:
         c, a, b = env[refs[0]][1], env[refs[1]][1], env[refs[2]][1]
         expected = ints[0] if d.kind == "count" else 1
         result = oracle.solve_measurings(c, a, b, budget)
-        if not result.exhaustive:
-            return oracle.CheckReport(d.kind, " ".join(refs), "budget", ())
-        status = "holds" if len(result.solutions) == expected else "fails"
         witnesses = ()
-        if status == "fails":
+        if result.exhaustive and len(result.solutions) != expected:
             tables = tuple(
                 str(sorted((carriers.render_value(k[0]), carriers.render_value(k[1]),
                             carriers.render_value(v)) for k, v in table.items()))
                 for table in result.solutions[:2])
             witnesses = (f"{len(result.solutions)} lawful tables, expected {expected}",) + tables
-        return oracle.CheckReport(d.kind, " ".join(refs), status, witnesses)
+        return kernel.Report.of(d.kind, " ".join(refs), witnesses,
+                                ran_out=not result.exhaustive)
     raise ValueError(f"unknown check kind {d.kind!r}")
 
 

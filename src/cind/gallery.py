@@ -16,12 +16,12 @@ from .carriers import (coalgebra, finite_algebra, initial_term_algebra,
                        term_as_coalgebra, term_unfold_coalgebra,
                        unit_coalgebra, coalgebras_identical)
 from .kernel import (BOOL_OR, BOTTOM, NAT_PLUS, TRIV, TRUTH_AND, TRUTH_OR,
-                     Node, collapse_hom, const_sig, hom, identity_hom,
+                     Node, Report, collapse_hom, const_sig, hom, identity_hom,
                      nat_transform, shape_sig, unit_hom)
-from .measuring import (Measuring, canonical_const_measuring,
-                        canonical_term_measuring, check_law, compose,
-                        embed_measuring, pull_measuring, push_measuring)
-from .oracle import (CheckReport, DEFAULT_BUDGET, check_adjunction,
+from .measuring import (canonical_const_measuring, canonical_term_measuring,
+                        check_law, compose, embed_measuring, pull_measuring,
+                        push_measuring)
+from .oracle import (DEFAULT_BUDGET, check_adjunction,
                      check_c_initial, check_preserves_c_initial,
                      check_respects_composition, random_algebra,
                      random_algebras)
@@ -37,16 +37,6 @@ class Fixture:
     reports: list
     goldens: list = field(default_factory=list)
     measurings: list = field(default_factory=list)  # (Measuring, check_law kwargs)
-
-
-def _bool_report(claim, instance, ok, witnesses=()) -> CheckReport:
-    return CheckReport(claim, instance, "holds" if ok else "fails", tuple(witnesses))
-
-
-def _law_report(phi: Measuring, **kwargs) -> CheckReport:
-    rep = check_law(phi, **kwargs)
-    return CheckReport("law", phi.name, "holds" if rep.ok else "fails",
-                       tuple(str(v) for v in rep.violations[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +57,9 @@ def build_nat_as_lists(budget: int = DEFAULT_BUDGET) -> Fixture:
 
     targets = random_algebras(f, (1, 2, 3), 5, seed=11)
     reports = [
-        _law_report(phi),
-        _law_report(emb),
-        _law_report(comp),
+        check_law(phi),
+        check_law(emb),
+        check_law(comp),
         check_c_initial(c2, n2, targets, budget),
         check_respects_composition(
             "embed",
@@ -110,12 +100,12 @@ def build_truth_monoid(budget: int = DEFAULT_BUDGET) -> Fixture:
                         (("alg", "fa"), ("mon", "T")),
                         (("alg", "other"),))
     reports = [
-        _bool_report("pushout-classes", "A3 along flip",
-                     p3.classes == expected_classes, [str(p3.classes)]),
-        _law_report(phi),
-        _law_report(pushed),
-        _law_report(comp),
-        check_adjunction(mu, "bang", instances),
+        Report.of("pushout-classes", "A3 along flip", [str(p3.classes)],
+                  failed=p3.classes != expected_classes),
+        check_law(phi),
+        check_law(pushed),
+        check_law(comp),
+        check_adjunction(mu, "bang", instances, budget=budget),
         check_respects_composition("push", [(mu, phi, phi)]),
     ]
     goldens = ["classes " + " | ".join(
@@ -155,13 +145,13 @@ def build_pulling_back_lists(budget: int = DEFAULT_BUDGET) -> Fixture:
 
     targets = random_algebras(f, (1, 2, 3), 5, seed=12)
     reports = [
-        _law_report(zipm),
-        _law_report(pulled),
-        _law_report(minm),
-        _law_report(comp),
-        _bool_report("restriction", "all-unit list states",
-                     set(sub.kept) == set(kept_expected),
-                     [render_term(s) for s in sub.kept]),
+        check_law(zipm),
+        check_law(pulled),
+        check_law(minm),
+        check_law(comp),
+        Report.of("restriction", "all-unit list states",
+                  [render_term(s) for s in sub.kept],
+                  failed=set(sub.kept) != set(kept_expected)),
         check_c_initial(c2, n2, targets, budget),
         check_respects_composition("pull", [(mu, zip2, zip2)]),
     ]
@@ -228,9 +218,9 @@ def build_tree_pruning(budget: int = DEFAULT_BUDGET) -> Fixture:
     shape1, prune1 = prune_with(zero1)
     zipb = canonical_term_measuring(l1d, l1, l1, name="zipb")
     reports = [
-        _law_report(prune1, depth=2, labels=(0, 1, 2)),
-        _law_report(loop_phi, depth=2, labels=(0, 1, 2)),
-        _law_report(pushed, depth=2, labels=(0, 1, 2)),
+        check_law(prune1, depth=2, labels=(0, 1, 2)),
+        check_law(loop_phi, depth=2, labels=(0, 1, 2)),
+        check_law(pushed, depth=2, labels=(0, 1, 2)),
         check_c_initial(pushed_fuel, t1, targets, budget),
         check_respects_composition("push", [(mub, zipb, zipb)]),
     ]
@@ -267,10 +257,10 @@ def build_intro_examples(budget: int = DEFAULT_BUDGET) -> Fixture:
     targets_f = random_algebras(f, (1, 2, 3), 5, seed=14)
     targets_h = random_algebras(hm, (1, 2, 3), 5, seed=15)
     reports = [
-        _law_report(prune1),
-        _bool_report("perfect-embedding", "depth 2",
-                     perfect2 == expected_perfect, [render_term(perfect2)]),
-        _bool_report("pushforward-is-depth-fuel", "fuel 2", strict_same),
+        check_law(prune1),
+        Report.of("perfect-embedding", "depth 2", [render_term(perfect2)],
+                  failed=perfect2 != expected_perfect),
+        Report.of("pushforward-is-depth-fuel", "fuel 2", failed=not strict_same),
         check_c_initial(s1, t1, random_algebras(hm, (1, 2, 3), 5, seed=16), budget),
         check_preserves_c_initial(mu, nat_counter(1), term_algebra_bounded(f, 1),
                                   targets_f, targets_h, budget),

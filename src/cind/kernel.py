@@ -1,11 +1,12 @@
-"""Monoids, container signatures, and signature morphisms.
+"""Monoids, container signatures, signature morphisms, and check reports.
 
 A signature is either ``const(M)`` (values are bare monoid labels) or
 ``shape(M, a)`` (values are a bottom element or a labelled node with ``a``
 payload slots).  Every signature carries a canonical zip (labels multiply,
 slots pair up positionwise, bottom absorbs) and a canonical unit value.
 A signature morphism relabels nodes through a monoid homomorphism and
-reorders/duplicates slots through a total reindexing map.
+reorders/duplicates slots through a total reindexing map.  Every check
+returns a ``Report``, which states whether it was exhaustive or sampled.
 """
 
 from __future__ import annotations
@@ -21,24 +22,66 @@ SHAPE = "shape"
 
 
 # ---------------------------------------------------------------------------
-# law reports
+# reports
 
 
 @dataclass(frozen=True)
-class LawReport:
-    """Outcome of an exhaustive or sampled law check.
+class Report:
+    """Verdict of one check on one instance: status holds, fails or budget,
+    the witnesses found (raw tuples for law checks), the count checked, and
+    the coverage.  The paper's claims are universal, so coverage says what a
+    verdict covers: "exhaustive", or "sampled: ..." naming the sample.  It
+    describes the check run to its end; status budget says it was cut short."""
 
-    ``complete`` is False when only a sample of the relevant instances was
-    covered (infinite carriers, or an exceeded budget).
-    """
-
-    violations: tuple = ()
+    claim: str
+    instance: str
+    status: str
+    witnesses: tuple = ()
     checked: int = 0
-    complete: bool = True
+    coverage: str = "exhaustive"
+
+    @classmethod
+    def of(cls, claim, instance, witnesses=(), *, failed=None, ran_out=False,
+           checked=0, sampled=None) -> "Report":
+        """The one status rule: budget if a solve ran out, else fails if
+        ``failed`` (by default: if there are witnesses), else holds.
+        ``sampled`` states what was sampled; None means exhaustive."""
+        witnesses = tuple(witnesses)
+        failed = bool(witnesses) if failed is None else failed
+        status = "budget" if ran_out else "fails" if failed else "holds"
+        coverage = "exhaustive" if sampled is None else f"sampled: {sampled}"
+        return cls(claim, instance, status, witnesses, checked, coverage)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.status == "holds"
+
+    @property
+    def violations(self) -> tuple:  # the name law checks give the witnesses
+        return self.witnesses
+
+    def line(self) -> str:
+        out = f"[{self.status}] {self.claim} {self.instance}  ({self.coverage})"
+        if self.status != "holds" and self.witnesses:
+            out += f"  :: {self.witnesses[0]}"
+        return out
+
+    def to_json(self) -> dict:
+        from .carriers import render_value  # carriers imports this module
+        return {"claim": self.claim, "instance": self.instance,
+                "status": self.status, "coverage": self.coverage,
+                "witnesses": [w if isinstance(w, str) else render_value(w)
+                              for w in self.witnesses]}
+
+
+def exit_code(reports) -> int:
+    """1 if a check fails, else 3 if a budget ran out, else 0."""
+    statuses = {r.status for r in reports}
+    return 1 if "fails" in statuses else 3 if "budget" in statuses else 0
+
+
+def _listing(noun: str, xs) -> str:
+    return f"{noun} " + ", ".join(map(str, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +136,16 @@ TRUTH_OR = finite_monoid("TruthOr", ("T", "F"), lambda a, b: "T" if a == "T" or 
 NAT_PLUS = Monoid("NatPlus", None, lambda a, b: a + b, 0)
 
 
-def monoid_check(m: Monoid, budget: int = 1000) -> LawReport:
+def monoid_check(m: Monoid, budget: int = 1000) -> Report:
     """Check associativity and the two unit laws.
 
     Finite carriers are checked exhaustively when the triple count fits the
-    budget; the builtin carrier is checked on an initial sample.
+    budget; otherwise the report is sampled over an initial segment.
     """
-    if m.finite:
-        k = len(m.elements)
-        if k ** 3 <= budget:
-            xs, complete = m.elements, True
-        else:
-            xs, complete = m.sample(max(1, int(budget ** (1 / 3)))), False
+    if m.finite and len(m.elements) ** 3 <= budget:
+        xs = m.elements
     else:
-        xs, complete = m.sample(max(2, int(budget ** (1 / 3)))), False
+        xs = m.sample(max(1 if m.finite else 2, int(budget ** (1 / 3))))
     violations = []
     checked = 0
     for x in xs:
@@ -121,7 +160,8 @@ def monoid_check(m: Monoid, budget: int = 1000) -> LawReport:
         rhs = m.op(a, m.op(b, c))
         if lhs != rhs:
             violations.append(("assoc", (a, b, c), lhs, rhs))
-    return LawReport(tuple(violations), checked, complete)
+    return Report.of("monoid", m.name, violations, checked=checked,
+                     sampled=None if xs == m.elements else _listing("elements", xs))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +246,7 @@ def compose_homs(outer: MonoidHom, inner: MonoidHom) -> MonoidHom:
     return MonoidHom(inner.source, outer.target, lambda x: outer.apply(inner.apply(x)))
 
 
-def hom_check(h: MonoidHom, budget: int = 1000) -> LawReport:
+def hom_check(h: MonoidHom, budget: int = 1000) -> Report:
     """Check unit preservation and multiplicativity on enumerated pairs."""
     xs = h.source.elements if h.source.finite else h.source.sample(max(2, int(budget ** 0.5)))
     violations = []
@@ -219,7 +259,8 @@ def hom_check(h: MonoidHom, budget: int = 1000) -> LawReport:
         rhs = h.target.op(h.apply(a), h.apply(b))
         if lhs != rhs:
             violations.append(("mul", (a, b), lhs, rhs))
-    return LawReport(tuple(violations), checked, h.source.finite)
+    return Report.of("hom", f"{h.source.name}->{h.target.name}", violations,
+                     checked=checked, sampled=None if h.source.finite else _listing("elements", xs))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +449,12 @@ def nats_equal(a: NatTransform, b: NatTransform, label_sample=(0, 1, 2)) -> bool
 
 
 def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
-                  label_sample=None, max_functions: int = 81) -> LawReport:
+                  label_sample=None, max_functions: int = 81) -> Report:
     """Check naturality and compatibility with zip and unit on sampled carriers.
 
     Naturality is checked against every function between the two payload sets
-    (capped at max_functions); the zip square is checked on all value pairs.
+    (capped at max_functions, which samples them); the zip square is checked
+    on all value pairs.
     """
     xs, ys = tuple(payloads[0]), tuple(payloads[1])
     if label_sample is None and not mu.source.monoid.finite:
@@ -427,7 +469,11 @@ def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
         funcs.append({x: ys[i] for x, i in zip(xs, combo)})
         if len(funcs) >= max_functions:
             break
-    complete = len(funcs) == len(ys) ** len(xs)
+    sampled = []
+    if len(funcs) < len(ys) ** len(xs):
+        sampled.append(f"{len(funcs)} of {len(ys) ** len(xs)} functions")
+    if label_sample is not None and tuple(label_sample) != mu.source.monoid.elements:
+        sampled.append(_listing("labels", label_sample))
 
     for fn in funcs:
         f = fn.__getitem__
@@ -452,5 +498,5 @@ def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
     if lhs != rhs:
         violations.append(("unit", lhs, rhs))
 
-    complete = complete and mu.source.monoid.finite
-    return LawReport(tuple(violations), checked, complete)
+    return Report.of("nat", repr(mu), violations, checked=checked,
+                     sampled="; ".join(sampled) or None)

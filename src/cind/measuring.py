@@ -14,9 +14,9 @@ from typing import Callable
 
 from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
                        unit_coalgebra)
-from .kernel import (BOTTOM, CONST, LawReport, NatTransform, Node,
+from .kernel import (BOTTOM, CONST, NatTransform, Node, Report,
                      compose_nats, functor_map, fvalues, identity_nat,
-                     is_bottom, nats_equal, unit_value, zip_values)
+                     is_bottom, _listing, nats_equal, unit_value, zip_values)
 from .transport import (ExpandedAlgebra, expand_algebra, pullback_algebra,
                         pushforward_coalgebra, pushout_algebra,
                         restrict_coalgebra)
@@ -60,10 +60,6 @@ def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") 
     return Measuring(c, a, b, lookup, name)
 
 
-def rule_measuring(c: Coalgebra, a: Algebra, b: Algebra, rule, name="") -> Measuring:
-    return Measuring(c, a, b, rule=rule, name=name)
-
-
 def _memoized(fn):
     cache = {}
 
@@ -97,30 +93,34 @@ def _law_mismatches(evalfn, coalg, source, target, elems, labels, limit):
 
 
 def check_law(phi: Measuring, depth: int = 3, labels=None,
-              budget: int = None, max_witnesses: int = 20) -> LawReport:
-    """Verify the measuring law on every enumerated source value.
+              budget: int = None, max_witnesses: int = 20) -> Report:
+    """Verify the measuring law on every enumerated source value; the
+    violations (state, value, got, expected) are the report's witnesses.
 
     ``depth`` bounds the enumeration for term carriers with no finite
-    enumeration; ``labels`` samples the label universe for builtin monoids.
-    The report is flagged incomplete when coverage is partial.
+    enumeration; ``labels`` samples the label universe for builtin monoids;
+    ``budget`` bounds the (state, value) instances checked.  The report is
+    sampled when any of the three cut the enumeration short.
     """
     if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
         raise ValueError("measuring endpoints live over different signatures")
     elems, full = phi.source.carrier(depth, labels)
-    complete = full
+    sampled = [] if full else [f"terms of depth <= {depth}"]
     if labels is None and not phi.source.sig.monoid.finite:
         labels = phi.source.sig.monoid.sample(3)
-        complete = False
+    if labels is not None and tuple(labels) != phi.source.sig.monoid.elements:
+        sampled.append(_listing("labels", labels))
     n_values = len(fvalues(phi.source.sig, elems, labels))
     coalg = phi.coalg
     if budget is not None and len(coalg.states) * n_values > budget:
         keep = coalg.states[:max(1, budget // max(1, n_values))]
+        sampled.append(f"{len(keep)} of {len(coalg.states)} fuel states")
         coalg = Coalgebra(coalg.sig, keep, {s: coalg.chi[s] for s in keep})
-        complete = False
-    checked = len(coalg.states) * n_values
-    violations = tuple(_law_mismatches(phi.eval, coalg, phi.source, phi.target,
-                                       elems, labels, max_witnesses))
-    return LawReport(violations, checked, complete)
+    violations = _law_mismatches(phi.eval, coalg, phi.source, phi.target,
+                                 elems, labels, max_witnesses)
+    return Report.of("law", phi.name, violations,
+                     checked=len(coalg.states) * n_values,
+                     sampled="; ".join(sampled) or None)
 
 
 # ---------------------------------------------------------------------------

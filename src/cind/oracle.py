@@ -3,7 +3,8 @@ every lawful measuring table between finite carriers, a raw filter oracle it
 is cross-validated against, machine morphism enumeration, and the claim-level
 checkers (unique-measuring initiality, preinitiality, composition respect,
 adjunction bijections, initiality preservation).  Algebra morphisms are
-enumerated as the measurings by the one-state unit machine.
+enumerated as the measurings by the one-state unit machine.  Each checker
+returns a ``kernel.Report`` that states its coverage.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .carriers import (Algebra, Coalgebra, coalgebra, render_value,
-                       table_algebra, unit_coalgebra)
+from .carriers import (Algebra, Coalgebra, coalgebra, table_algebra,
+                       unit_coalgebra)
 from .kernel import (BOTTOM, CONST, STAR, FunctorSig, NatTransform, Node,
-                     functor_map, fvalues, is_bottom, zip_values)
+                     Report, functor_map, fvalues, is_bottom, zip_values)
 from .measuring import (_pointwise_mismatches, compose, embed_measuring,
                         pull_measuring, push_measuring, table_measuring)
 from .transport import (expand_algebra, pullback_algebra,
@@ -37,24 +38,6 @@ class SolveResult:
     solutions: tuple
     exhaustive: bool
     steps: int
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    claim: str
-    instance: str
-    status: str  # holds | fails | budget
-    witnesses: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "holds"
-
-    def to_json(self) -> dict:
-        return {"claim": self.claim, "instance": self.instance,
-                "status": self.status,
-                "witnesses": [render_value(w) if not isinstance(w, str) else w
-                              for w in self.witnesses]}
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +261,9 @@ def random_algebras(sig: FunctorSig, sizes, per_size: int, seed: int) -> list:
 
 
 def check_c_initial(c: Coalgebra, a: Algebra, targets,
-                    budget: int = DEFAULT_BUDGET) -> CheckReport:
-    """Exactly one lawful measuring from a into every target, by fuel c."""
+                    budget: int = DEFAULT_BUDGET) -> Report:
+    """Exactly one lawful measuring from a into every target, by fuel c;
+    sampled over the targets given."""
     structure = _Structure(c, a)
     witnesses = []
     ran_out = False
@@ -290,15 +274,15 @@ def check_c_initial(c: Coalgebra, a: Algebra, targets,
             witnesses.append(f"target {i} ({b.name}): budget exceeded")
         elif len(result.solutions) != 1:
             witnesses.append(f"target {i} ({b.name}): {len(result.solutions)} measurings")
-    status = "budget" if ran_out else ("holds" if not witnesses else "fails")
-    return CheckReport("c-initial", f"{c.name} (x) {a.name}", status, tuple(witnesses))
+    return Report.of("c-initial", f"{c.name} (x) {a.name}", witnesses,
+                     ran_out=ran_out, checked=len(targets),
+                     sampled=f"{len(targets)} targets")
 
 
 def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
-                                 budget: int = DEFAULT_BUDGET) -> CheckReport:
+                                 budget: int = DEFAULT_BUDGET) -> Report:
     """At most one morphism out of p, and at most one lawful measuring per
-    fuel machine in the given family.  Status is budget when any solve ran
-    out of budget."""
+    fuel machine in the given family."""
     witnesses = []
     morphs, exhaustive = _algebra_morphisms(p, b, budget)
     if len(morphs) > 1:
@@ -309,22 +293,23 @@ def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
         exhaustive = exhaustive and result.exhaustive
         if len(result.solutions) > 1:
             witnesses.append(f"{len(result.solutions)} measurings by {c.name}")
-    status = "budget" if not exhaustive else ("holds" if not witnesses else "fails")
-    return CheckReport("preinitial-subterminal", f"{p.name} -> {b.name}",
-                       status, tuple(witnesses))
+    return Report.of("preinitial-subterminal", f"{p.name} -> {b.name}",
+                     witnesses, ran_out=not exhaustive)
 
 
 def check_respects_composition(kind: str, instances, depth: int = 3,
-                               labels=None) -> CheckReport:
+                               labels=None) -> Report:
     """Transporting a composite equals composing the transports, pointwise.
 
     kind "embed": instances are (nu, mu, psi, phi); kind "push"/"pull":
     instances are (mu, psi, phi).  Product fuel states are identified across
     the two sides by strictness (pushforward) or by the inclusion of the
-    pairwise restriction into the restricted product (pullback).
+    pairwise restriction into the restricted product (pullback).  Infinite
+    source carriers are sampled: terms up to ``depth`` are compared.
     """
     witnesses = []
     count = 0
+    full = True
     for inst in instances:
         count += 1
         if kind == "embed":
@@ -333,13 +318,11 @@ def check_respects_composition(kind: str, instances, depth: int = 3,
             rhs = compose(embed_measuring(nu, mu, psi, verify=False),
                           embed_measuring(nu, mu, phi, verify=False))
             states = lhs.coalg.states
-            elems, _ = lhs.source.carrier(depth, labels)
         elif kind == "push":
             mu, psi, phi = inst
             lhs = push_measuring(mu, compose(psi, phi))
             rhs = compose(push_measuring(mu, psi), push_measuring(mu, phi))
             states = lhs.coalg.states
-            elems, _ = lhs.source.carrier(depth, labels)
         elif kind == "pull":
             mu, psi, phi = inst
             lhs = pull_measuring(mu, compose(psi, phi))
@@ -350,18 +333,19 @@ def check_respects_composition(kind: str, instances, depth: int = 3,
             if missing:
                 witnesses.append((f"instance {count}", "pair state outside restricted product", missing[0]))
                 continue
-            elems, _ = lhs.source.carrier(depth, labels)
         else:
             raise ValueError(f"unknown transport kind {kind!r}")
+        elems, done = lhs.source.carrier(depth, labels)
+        full = full and done
         for w in _pointwise_mismatches(lhs, rhs, states, elems):
             witnesses.append((f"instance {count}",) + w)
-    status = "holds" if not witnesses else "fails"
-    return CheckReport(f"respects-composition[{kind}]", f"{count} instances",
-                       status, tuple(witnesses))
+    return Report.of(f"respects-composition[{kind}]", f"{count} instances",
+                     witnesses, checked=count,
+                     sampled=None if full else f"terms of depth <= {depth}")
 
 
 def check_adjunction(mu: NatTransform, side: str, instances,
-                     cap: int = 2 ** 20) -> CheckReport:
+                     cap: int = 2 ** 20, budget: int = DEFAULT_BUDGET) -> Report:
     """Hom-set bijections for the two adjoint closed forms.
 
     side "bang": instances are (A, B) constant-signature algebra pairs; the
@@ -369,7 +353,8 @@ def check_adjunction(mu: NatTransform, side: str, instances,
     via the transposes.  side "shriek": instances are (D, C) machine pairs;
     morphisms D -> restrict(C) must biject with morphisms push(D) -> C via
     post-composition with the inclusion.  ``cap`` bounds the candidate maps
-    of the machine morphism enumeration.
+    of the machine morphism enumeration and ``budget`` each solve of the
+    algebra morphisms.
     """
     witnesses = []
     count = 0
@@ -380,8 +365,8 @@ def check_adjunction(mu: NatTransform, side: str, instances,
         if side == "bang":
             a, b = inst
             p = pushout_algebra(mu.hom, a)
-            fs, f_done = _algebra_morphisms(a, pullback_algebra(mu, b))
-            gs, g_done = _algebra_morphisms(p.algebra, b)
+            fs, f_done = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
+            gs, g_done = _algebra_morphisms(p.algebra, b, budget)
             if not (f_done and g_done):
                 ran_out = True
                 witnesses.append((tag, "budget exceeded"))
@@ -413,16 +398,16 @@ def check_adjunction(mu: NatTransform, side: str, instances,
                     witnesses.append((tag, "round trip failed", str(f)))
         else:
             raise ValueError(f"unknown adjunction side {side!r}")
-    status = "budget" if ran_out else ("holds" if not witnesses else "fails")
-    return CheckReport(f"adjunction[{side}]", f"{count} instances", status,
-                       tuple(witnesses))
+    return Report.of(f"adjunction[{side}]", f"{count} instances", witnesses,
+                     ran_out=ran_out, checked=count)
 
 
 def check_preserves_c_initial(mu: NatTransform, c: Coalgebra, a: Algebra,
                               source_targets, target_targets,
-                              budget: int = DEFAULT_BUDGET) -> CheckReport:
+                              budget: int = DEFAULT_BUDGET) -> Report:
     """If a is uniquely measurable by c into every target, its left-adjoint
-    image is uniquely measurable by the pushed-forward fuel."""
+    image is uniquely measurable by the pushed-forward fuel; sampled over
+    the two sets of targets."""
     first = check_c_initial(c, a, source_targets, budget)
     if a.sig.kind == CONST:
         image = pushout_algebra(mu.hom, a).algebra
@@ -432,9 +417,7 @@ def check_preserves_c_initial(mu: NatTransform, c: Coalgebra, a: Algebra,
     second = check_c_initial(pushed, image, target_targets, budget)
     witnesses = tuple(f"source: {w}" for w in first.witnesses) + \
         tuple(f"image: {w}" for w in second.witnesses)
-    if "budget" in (first.status, second.status):
-        status = "budget"
-    else:
-        status = "holds" if first.ok and second.ok else "fails"
-    return CheckReport("preserves-c-initial", f"{c.name} (x) {a.name} along {mu!r}",
-                       status, witnesses)
+    return Report.of("preserves-c-initial", f"{c.name} (x) {a.name} along {mu!r}",
+                     witnesses, ran_out="budget" in (first.status, second.status),
+                     checked=first.checked + second.checked,
+                     sampled=f"{first.checked} source and {second.checked} image targets")

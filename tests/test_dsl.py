@@ -180,7 +180,8 @@ def test_run_reports_roundtrip_through_json():
     reports, _ = dsl.run(script)
     blob = json.loads(dsl.reports_to_json(reports))
     assert [r["claim"] for r in blob] == [r.claim for r in reports]
-    assert all(set(r) == {"claim", "instance", "status", "witnesses"} for r in blob)
+    assert all(set(r) == {"claim", "instance", "status", "coverage", "witnesses"}
+               for r in blob)
 
 
 def test_measure_with_no_solution_fails_gracefully():
@@ -264,12 +265,15 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_budget_exit_code():
+def test_cli_budget_exit_code(capsys):
     path = str(FIXTURE_DIR / "nat_as_lists.cind")
     code, _ = _main(["check", path], env={"CIND_BUDGET": "1"})
     assert code == 3
     code, _ = _main(["check", path, "--budget", "1"])
     assert code == 3
+    code, _ = _main(["check", path], env={"CIND_BUDGET": "abc"})
+    assert code == 2
+    assert "cind: CIND_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_demo_prune_clauses():
@@ -333,3 +337,23 @@ coalg D = counter(G, 2)
 """)
     assert code == 2
     assert "5:1:" in capsys.readouterr().err
+
+
+_NAT_LISTS = """monoid Triv = builtin trivial
+functor F = shape(Triv, 1)
+alg L = bounded(F, 2)
+coalg D = counter(F, 2)
+"""
+
+
+def test_cli_count_without_its_number_is_a_parse_error(tmp_path, capsys):
+    code, _ = _check_script(tmp_path, _NAT_LISTS + "check count D L L\n")
+    assert code == 2
+    assert "5:1: check count needs the expected number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["0 5", "2 0"])
+def test_cli_c_initial_over_no_targets_is_a_parse_error(tmp_path, capsys, bounds):
+    code, _ = _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {bounds}\n")
+    assert code == 2
+    assert "5:1: check c-initial needs" in capsys.readouterr().err

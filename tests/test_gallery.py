@@ -48,3 +48,10 @@ def test_gallery_cli_tree_pruning_reproduces_goldens():
     assert "prune #b (5 (1 #b #b) #b) -> #b" in text
     assert "prune (0 #b #b) (5 (1 #b #b) #b) -> (5 #b #b)" in text
     assert "loop-prune (5 (1 #b #b) (7 #b #b)) -> (5 (1 #b #b) (7 #b #b))" in text
+
+
+def test_gallery_budget_bounds_the_adjunction_solves():
+    out = io.StringIO()
+    code = cli.main(["gallery", "truth_monoid", "--budget", "1"], out=out)
+    assert code == 3
+    assert "[budget] adjunction[bang] 4 instances" in out.getvalue()

@@ -12,11 +12,12 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          TRUTH_OR, collapse_hom, const_sig, hom,
                          identity_hom, identity_nat, is_bottom, nat_transform,
                          node, shape_sig, unit_hom)
-from cind.measuring import (MeasuringLawError, canonical_const_measuring,
+from cind.measuring import (Measuring, MeasuringLawError,
+                            canonical_const_measuring,
                             canonical_term_measuring, check_law, compose,
                             embed_measuring, from_morphism, measuring_to_json,
                             measurings_equal, pull_measuring, push_measuring,
-                            rule_measuring, table_measuring, to_morphism)
+                            table_measuring, to_morphism)
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra)
 
@@ -50,13 +51,13 @@ def test_zip_measuring_is_lawful():
     zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 2), l2,
                                     initial_term_algebra(G1))
     report = check_law(zipm)
-    assert report.ok and report.complete
+    assert report.ok and report.coverage == "exhaustive"
 
 
 def test_constant_map_fails_at_bottom_clause():
     l1 = term_algebra_bounded(G1, 1)
-    bad = rule_measuring(term_unfold_coalgebra(G1, 1), l1, l1,
-                         lambda c, a: node(1, BOTTOM))
+    bad = Measuring(term_unfold_coalgebra(G1, 1), l1, l1,
+                    lambda c, a: node(1, BOTTOM))
     report = check_law(bad)
     assert not report.ok
     c, v, got, expected = report.violations[0]
@@ -76,7 +77,7 @@ def test_check_law_budget_flags_partial():
     l2 = term_algebra_bounded(G1, 2)
     zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 2), l2, l2)
     report = check_law(zipm, budget=10)
-    assert not report.complete
+    assert report.coverage.startswith("sampled: ")
     assert report.checked <= 15 + 10  # one state's worth at most over
 
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cind.carriers import (coalgebra, finite_algebra, nat_counter,
-                           shape_coalgebra, term_algebra_bounded,
+from cind.carriers import (coalgebra, finite_algebra, initial_term_algebra,
+                           nat_counter, shape_coalgebra, term_algebra_bounded,
                            term_unfold_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
                          const_sig, identity_hom, identity_nat, is_bottom,
@@ -239,6 +239,18 @@ def test_respects_composition_detects_breakage():
     assert report.ok
 
 
+def test_respects_composition_over_an_infinite_carrier_is_sampled():
+    lists = initial_term_algebra(G1)
+    phi = canonical_term_measuring(term_unfold_coalgebra(G1, 1), lists, lists)
+    report = check_respects_composition("push", [(identity_nat(G1), phi, phi)], depth=2)
+    assert report.ok
+    assert report.coverage == "sampled: terms of depth <= 2"
+    n1 = term_algebra_bounded(F1, 1)
+    psi = canonical_term_measuring(nat_counter(1), n1, n1)
+    finite = check_respects_composition("push", [(identity_nat(F1), psi, psi)])
+    assert finite.coverage == "exhaustive"
+
+
 def test_check_adjunction_identity_morphism():
     ident = identity_nat(const_sig(BOOL_OR))
     rng = random.Random(33)
@@ -293,6 +305,6 @@ def test_reports_are_deterministic_and_serialisable():
     assert r1 == r2
     blob = r1.to_json()
     assert blob["status"] == "holds"
-    assert set(blob) == {"claim", "instance", "status", "witnesses"}
+    assert set(blob) == {"claim", "instance", "status", "coverage", "witnesses"}
     import json
     json.dumps(blob)
