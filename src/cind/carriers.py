@@ -45,20 +45,29 @@ def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
         if not sig.monoid.finite:
             raise ValueError(f"{sig.monoid.name} is not enumerable; pass labels")
         labels = sig.monoid.elements
-    out = [BOTTOM]
-    seen = {BOTTOM}
-    for _ in range(depth):
-        layer = []
-        for m in labels:
-            for combo in itertools.product(out, repeat=sig.arity):
-                t = Node(m, combo)
-                if t not in seen:
-                    seen.add(t)
-                    layer.append(t)
+    out, last = [BOTTOM], 0  # out[last:] is the last layer
+    for level in range(depth):
+        old, new = out[:last], out[last:]
+        # the first layer takes every combination (nullary nodes have no
+        # children); a later one, those with a child from the last layer
+        layer = [Node(m, combo) for m in labels
+                 for combo in (itertools.product(out, repeat=sig.arity) if level == 0
+                               else _using(old, new, sig.arity))]
+        last = len(out)
         out.extend(layer)
         if not layer:
             break
     return tuple(out)
+
+
+def _using(old, new, arity):
+    """The arity-tuples over old + new that use new, in lexicographic order:
+    an old entry followed by such a tuple, or a new entry followed by any."""
+    if arity == 0:
+        return iter(())
+    return itertools.chain(
+        ((x,) + rest for x in old for rest in _using(old, new, arity - 1)),
+        itertools.product(new, *[old + new] * (arity - 1)))
 
 
 def render_term(t) -> str:
@@ -145,13 +154,8 @@ def term_algebra_bounded(sig: FunctorSig, n: int) -> Algebra:
     if n < 0:
         raise ValueError("depth bound must be >= 0")
 
-    def alpha(v):
-        if is_bottom(v):
-            return BOTTOM
-        return truncate_term(Node(v.label, v.slots), n)
-
     elements = terms_up_to(sig, n) if sig.monoid.finite else None
-    return Algebra(sig, alpha, elements, "bounded", bound=n,
+    return Algebra(sig, lambda v: truncate_term(v, n), elements, "bounded", bound=n,
                    name=f"T{n}[{sig!r}]",
                    enum_fn=lambda depth, labels=None: terms_up_to(sig, min(depth, n), labels))
 

@@ -457,7 +457,13 @@ def parse(text: str) -> Script:
 _ALG_HEADS = {"bounded", "initial", "pullback", "expand", "pushout", "constalg"}
 _COALG_HEADS = {"counter", "shapes", "dual", "unit", "tensor", "pushforward",
                 "restrict", "machine"}
-_CHECK_KINDS = {"c-initial", "count", "unique", "law"}
+# check kind -> its usage, the kinds of its references, the most numbers it takes
+_CHECK_KINDS = {
+    "law": ("check law MEASURE", ("measure",), 0),
+    "unique": ("check unique COALG ALG ALG", ("coalg", "alg", "alg"), 0),
+    "count": ("check count COALG ALG ALG N", ("coalg", "alg", "alg"), 1),
+    "c-initial": ("check c-initial COALG ALG [MAX_SIZE [PER_SIZE]]", ("coalg", "alg"), 2),
+}
 
 
 def _resolve(script: Script):
@@ -520,22 +526,21 @@ def _resolve(script: Script):
             if d.kind not in _CHECK_KINDS:
                 raise DslError(f"unknown check kind {d.kind!r}", *pos,
                                expected=sorted(_CHECK_KINDS))
+            usage, want, most = _CHECK_KINDS[d.kind]
             refs = [v for k, v in d.args if k == "ref"]
             ints = [v for k, v in d.args if k == "int"]
-            if d.kind == "law":
-                if len(refs) != 1:
-                    raise DslError("check law needs one measuring", *pos)
-                need(refs[0], "measure", pos)
-            else:
-                want = ("coalg", "alg") if d.kind == "c-initial" else ("coalg", "alg", "alg")
-                if len(refs) < len(want):
-                    raise DslError(f"check {d.kind} needs {len(want)} references", *pos)
-                for name, w in zip(refs, want):
-                    need(name, w, pos)
+            if len(refs) != len(want):
+                raise DslError(f"check {d.kind} needs {len(want)} "
+                               f"reference{'s' * (len(want) > 1)}; usage: {usage}", *pos)
+            for name, w in zip(refs, want):
+                need(name, w, pos)
             if d.kind == "count" and not ints:
                 raise DslError("check count needs the expected number of measurings", *pos)
             if d.kind == "c-initial" and any(k < 1 for k in ints):
                 raise DslError("check c-initial needs a size bound and per-size count >= 1", *pos)
+            extra = " ".join(map(str, ints[most:]))
+            if extra:
+                raise DslError(f"check {d.kind}: extra number {extra}; usage: {usage}", *pos)
 
 
 # ---------------------------------------------------------------------------

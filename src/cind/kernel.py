@@ -12,6 +12,7 @@ returns a ``Report``, which states whether it was exhaustive or sampled.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -49,8 +50,7 @@ class Report:
         witnesses = tuple(witnesses)
         failed = bool(witnesses) if failed is None else failed
         status = "budget" if ran_out else "fails" if failed else "holds"
-        coverage = "exhaustive" if sampled is None else f"sampled: {sampled}"
-        return cls(claim, instance, status, witnesses, checked, coverage)
+        return cls(claim, instance, status, witnesses, checked, coverage_of(sampled))
 
     @property
     def ok(self) -> bool:
@@ -72,6 +72,12 @@ class Report:
                 "status": self.status, "coverage": self.coverage,
                 "witnesses": [w if isinstance(w, str) else render_value(w)
                               for w in self.witnesses]}
+
+
+def coverage_of(sampled) -> str:
+    """The coverage statement: "exhaustive", or "sampled: ..." when
+    ``sampled`` names a sample."""
+    return "exhaustive" if sampled is None else f"sampled: {sampled}"
 
 
 def exit_code(reports) -> int:
@@ -289,19 +295,92 @@ def shape_sig(m: Monoid, arity: int) -> FunctorSig:
     return FunctorSig(SHAPE, m, arity)
 
 
-@dataclass(frozen=True, slots=True)
 class BottomType:
+    """The bottom value.  There is one, ``BOTTOM``; it equals only itself and
+    has a fixed hash, the same in every process."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return BOTTOM
+
     def __repr__(self):
         return "#b"
 
+    def __hash__(self):
+        return _BOTTOM_HASH
 
-BOTTOM = BottomType()
+    def __reduce__(self):
+        return "BOTTOM"
 
 
-@dataclass(frozen=True, slots=True)
+BOTTOM = object.__new__(BottomType)
+_BOTTOM_HASH = hash(())  # fixed, so orders of sets holding bottom repeat from run to run
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_interned: dict = {}  # hash -> weak reference to the node with that hash
+_clashes = weakref.WeakValueDictionary()  # (label, slots) -> node, on a hash clash
+_init = object.__setattr__
+
+
+def _forget(ref):
+    if _interned.get(ref.key) is ref:
+        del _interned[ref.key]
+
+
 class Node:
-    label: Any
-    slots: tuple
+    """A labelled node; its slots are terms, states or other values.
+
+    Nodes are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
+    Hash-Consing*, 2006): ``Node(label, slots)`` returns the one live node
+    with that label and those slots, so equal nodes are the same object.
+    Equality is identity, and the hash is computed once, at construction,
+    from the children's cached hashes.  Neither walks the term, so a term of
+    any depth hashes and compares in constant time.  The intern table holds
+    nodes weakly: an entry leaves with its node.  Nodes are immutable.
+    Building them is not thread-safe: build terms from one thread.
+    """
+
+    __slots__ = ("label", "slots", "_hash", "__weakref__")
+
+    def __new__(cls, label, slots):
+        h = hash((label, slots))
+        ref = _interned.get(h)
+        n = ref() if ref is not None else None
+        if n is not None and n.label == label and n.slots == slots:
+            return n
+        if _clashes:
+            twin = _clashes.get((label, slots))
+            if twin is not None:
+                return twin
+        new = object.__new__(cls)
+        _init(new, "label", label)
+        _init(new, "slots", slots)
+        _init(new, "_hash", h)
+        if n is None:
+            ref = _interned[h] = _Ref(new, _forget)
+            ref.key = h
+        else:  # another live node owns this hash
+            _clashes[label, slots] = new
+        return new
+
+    __eq__ = object.__eq__  # identity
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Node is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Node is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Node, (self.label, self.slots)
 
     def __repr__(self):
         if not self.slots:
@@ -314,7 +393,7 @@ def node(label, *slots) -> Node:
 
 
 def is_bottom(v) -> bool:
-    return isinstance(v, BottomType)
+    return v is BOTTOM
 
 
 def _check_node(sig: FunctorSig, v):

@@ -15,7 +15,7 @@ from typing import Callable
 from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
                        unit_coalgebra)
 from .kernel import (BOTTOM, CONST, NatTransform, Node, Report,
-                     compose_nats, functor_map, fvalues, identity_nat,
+                     compose_nats, coverage_of, functor_map, fvalues, identity_nat,
                      is_bottom, _listing, nats_equal, unit_value, zip_values)
 from .transport import (ExpandedAlgebra, expand_algebra, pullback_algebra,
                         pushforward_coalgebra, pushout_algebra,
@@ -65,9 +65,10 @@ def _memoized(fn):
 
     def wrapped(c, a):
         key = (c, a)
-        if key not in cache:
-            cache[key] = fn(c, a)
-        return cache[key]
+        out = cache.get(key, cache)  # the cache itself marks a miss
+        if out is cache:
+            out = cache[key] = fn(c, a)
+        return out
 
     return wrapped
 
@@ -92,6 +93,18 @@ def _law_mismatches(evalfn, coalg, source, target, elems, labels, limit):
                     return
 
 
+def _source_domain(phi: Measuring, depth: int, labels):
+    """(source elements, labels, what was sampled): the whole carrier or its
+    terms up to ``depth``, over the given labels (a few for builtin monoids)."""
+    elems, full = phi.source.carrier(depth, labels)
+    sampled = [] if full else [f"terms of depth <= {depth}"]
+    if labels is None and not phi.source.sig.monoid.finite:
+        labels = phi.source.sig.monoid.sample(3)
+    if labels is not None and tuple(labels) != phi.source.sig.monoid.elements:
+        sampled.append(_listing("labels", labels))
+    return elems, labels, sampled
+
+
 def check_law(phi: Measuring, depth: int = 3, labels=None,
               budget: int = None, max_witnesses: int = 20) -> Report:
     """Verify the measuring law on every enumerated source value; the
@@ -104,12 +117,7 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
     """
     if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
         raise ValueError("measuring endpoints live over different signatures")
-    elems, full = phi.source.carrier(depth, labels)
-    sampled = [] if full else [f"terms of depth <= {depth}"]
-    if labels is None and not phi.source.sig.monoid.finite:
-        labels = phi.source.sig.monoid.sample(3)
-    if labels is not None and tuple(labels) != phi.source.sig.monoid.elements:
-        sampled.append(_listing("labels", labels))
+    elems, labels, sampled = _source_domain(phi, depth, labels)
     n_values = len(fvalues(phi.source.sig, elems, labels))
     coalg = phi.coalg
     if budget is not None and len(coalg.states) * n_values > budget:
@@ -319,10 +327,12 @@ def measurings_equal(m1: Measuring, m2: Measuring, elems=None, depth: int = 3,
 
 
 def measuring_to_json(phi: Measuring, depth: int = 3, labels=None) -> dict:
-    """Serialisable table plus metadata naming the three carriers."""
-    elems, complete = phi.source.carrier(depth, labels)
+    """Serialisable table plus metadata naming the three carriers, with the
+    table's coverage stated as a report states it."""
+    elems, _, sampled = _source_domain(phi, depth, labels)
     rows = [{"coalgebraState": render_value(c), "input": render_value(a),
              "output": render_value(phi.eval(c, a))}
             for c in phi.coalg.states for a in elems]
     return {"coalgebra": phi.coalg.name, "source": phi.source.name,
-            "target": phi.target.name, "complete": complete, "table": rows}
+            "target": phi.target.name,
+            "coverage": coverage_of("; ".join(sampled) or None), "table": rows}

@@ -181,7 +181,7 @@ class SubCoalgebra:
 def restrict_coalgebra(mu: NatTransform, c: Coalgebra) -> SubCoalgebra:
     """Right-adjoint closed form: keep a state iff its unfolding is bottom or
     has a label with a (unique) source preimage, duplicated slots agree, and
-    every referenced state is kept; iterate to the greatest fixpoint.
+    every referenced state is kept: the greatest fixpoint.
 
     Requires an injective label hom and, for shapes, a surjective reindexing,
     so the lifted unfolding is uniquely determined.
@@ -196,27 +196,34 @@ def restrict_coalgebra(mu: NatTransform, c: Coalgebra) -> SubCoalgebra:
             raise AdjointUnsupportedError(
                 "right adjoint outside supported class: reindexing not surjective")
 
-    def locally_ok(v, kept):
+    states = set(c.states)
+    twins = [(j1, j2) for j2 in range(len(mu.reindex or ())) for j1 in range(j2)
+             if mu.reindex[j1] == mu.reindex[j2]]
+
+    def locally_ok(v):
         if c.sig.kind == CONST:
             return mu.hom.preimage(v) is not None
         if is_bottom(v):
             return True
-        if mu.hom.preimage(v.label) is None:
-            return False
-        for j1 in range(len(mu.reindex)):
-            for j2 in range(j1 + 1, len(mu.reindex)):
-                if mu.reindex[j1] == mu.reindex[j2] and v.slots[j1] != v.slots[j2]:
-                    return False
-        return all(s in kept for s in v.slots)
+        return (mu.hom.preimage(v.label) is not None
+                and all(v.slots[j1] == v.slots[j2] for j1, j2 in twins)
+                and all(s in states for s in v.slots))
 
-    kept = set(c.states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(kept):
-            if not locally_ok(c.chi[s], kept):
-                kept.discard(s)
-                changed = True
+    # worklist (Paige & Tarjan 1987): check each state once, then drop the
+    # users of every dropped state
+    users = {s: [] for s in c.states}
+    for s in c.states:
+        v = c.chi[s]
+        if c.sig.kind == SHAPE and not is_bottom(v):
+            for t in states.intersection(v.slots):
+                users[t].append(s)
+    dropped = [s for s in c.states if not locally_ok(c.chi[s])]
+    kept = states.difference(dropped)
+    while dropped:
+        for u in users[dropped.pop()]:
+            if u in kept:
+                kept.remove(u)
+                dropped.append(u)
 
     kept_ordered = tuple(s for s in c.states if s in kept)
 

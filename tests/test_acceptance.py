@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 """
 
+import functools
 import io
 import itertools
 import random
@@ -16,7 +17,7 @@ from cind.carriers import (coalgebra, coalgebras_identical, finite_algebra,
                            shape_coalgebra, term_algebra_bounded,
                            term_unfold_coalgebra, tensor_coalgebra,
                            unit_coalgebra)
-from cind.gallery import GALLERY, build_fixture
+from cind.gallery import GALLERY
 from cind.kernel import (BOOL_OR, BOTTOM, STAR, TRIV, TRUTH_AND, TRUTH_OR,
                          collapse_hom, const_sig, hom, identity_hom,
                          nat_transform, node, shape_sig, unit_hom)
@@ -46,14 +47,14 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "cind" / "fixture
 
 def _criterion(number, description):
     def deco(fn):
-        def wrapped():
+        @functools.wraps(fn)  # keeps fn's signature, so pytest passes its fixtures
+        def wrapped(*args, **kwargs):
             try:
-                fn()
+                fn(*args, **kwargs)
             except BaseException:
                 print(f"FAIL criterion {number}: {description}")
                 raise
             print(f"PASS criterion {number}: {description}")
-        wrapped.__name__ = fn.__name__
         return wrapped
     return deco
 
@@ -73,10 +74,10 @@ def _elist(n):
 
 
 @_criterion(1, "law suite over gallery fixtures and enumerated instances (< 30 s)")
-def test_criterion_01_measuring_law_suite():
+def test_criterion_01_measuring_law_suite(gallery_fixture):
     start = time.monotonic()
     for name in sorted(GALLERY):
-        fixture = build_fixture(name)
+        fixture = gallery_fixture(name)
         lawful = []
         for phi, kwargs in fixture.measurings:
             # base fuels stay within 8 states; compose outputs carry product

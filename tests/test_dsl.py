@@ -352,6 +352,23 @@ def test_cli_count_without_its_number_is_a_parse_error(tmp_path, capsys):
     assert "5:1: check count needs the expected number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check,extra", [("check unique D L L 7", "7"),
+                                         ("check c-initial D L 1 1 9", "9"),
+                                         ("check count D L L 1 2", "2")])
+def test_cli_check_with_extra_numbers_is_a_parse_error(tmp_path, capsys, check, extra):
+    code, out = _check_script(tmp_path, _NAT_LISTS + check + "\n")
+    assert code == 2
+    assert not out
+    assert f"5:1: check {check.split()[1]}: extra number {extra}; usage: " in capsys.readouterr().err
+
+
+def test_cli_check_with_extra_references_is_a_parse_error(tmp_path, capsys):
+    code, _ = _check_script(tmp_path, _NAT_LISTS + "check unique D L L L\n")
+    assert code == 2
+    assert "5:1: check unique needs 3 references; usage: check unique COALG ALG ALG" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds", ["0 5", "2 0"])
 def test_cli_c_initial_over_no_targets_is_a_parse_error(tmp_path, capsys, bounds):
     code, _ = _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {bounds}\n")

@@ -8,30 +8,30 @@ from cind.measuring import check_law
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
-def test_fixture_checks_all_hold(name):
-    fixture = build_fixture(name)
+def test_fixture_checks_all_hold(gallery_fixture, name):
+    fixture = gallery_fixture(name)
     for report in fixture.reports:
         assert report.ok, f"{name}: {report.claim} {report.instance}: {report.witnesses[:2]}"
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
-def test_fixture_measurings_are_lawful(name):
-    fixture = build_fixture(name)
+def test_fixture_measurings_are_lawful(gallery_fixture, name):
+    fixture = gallery_fixture(name)
     assert fixture.measurings
     for phi, kwargs in fixture.measurings:
         assert check_law(phi, **kwargs).ok
 
 
-def test_tree_pruning_goldens():
-    fixture = build_fixture("tree_pruning")
+def test_tree_pruning_goldens(gallery_fixture):
+    fixture = gallery_fixture("tree_pruning")
     assert "prune #b (5 (1 #b #b) #b) -> #b" in fixture.goldens
     assert "prune (0 #b #b) (5 (1 #b #b) #b) -> (5 #b #b)" in fixture.goldens
     assert ("push [0,1,2] (5 (1 #b #b) (7 #b #b)) -> (5 (2 #b #b) (8 #b #b))"
             in fixture.goldens)
 
 
-def test_intro_examples_perfect_golden():
-    fixture = build_fixture("intro_examples")
+def test_intro_examples_perfect_golden(gallery_fixture):
+    fixture = gallery_fixture("intro_examples")
     assert "perfect 2 -> (0 (0 #b #b) (0 #b #b))" in fixture.goldens
 
 

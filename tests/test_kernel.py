@@ -1,7 +1,10 @@
+import gc
 import itertools
+import pickle
 
 import pytest
 
+from cind import kernel
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          TRUTH_OR, collapse_hom, compose_nats, finite_monoid,
                          functor_map, fvalues, hom, hom_check, identity_hom,
@@ -9,6 +12,69 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          nat_check_lax, nat_transform, node, shape_sig,
                          const_sig, unit_hom, unit_value,
                          zip_values)
+
+
+# ---------------------------------------------------------------------------
+# hash-consed terms
+
+
+def _deep_list(n, labels=(0, 1)):
+    t = BOTTOM
+    for i in range(n):
+        t = node(labels[i % len(labels)], t)
+    return t
+
+
+def test_equal_nodes_are_one_object():
+    assert node(1, node(0, BOTTOM), "s") is node(1, node(0, BOTTOM), "s")
+    assert node(1, BOTTOM) is not node(0, BOTTOM)
+    assert node(1, BOTTOM) != node(0, BOTTOM)
+    assert kernel.Node(1, (BOTTOM,)) is node(1, BOTTOM)
+    assert pickle.loads(pickle.dumps(node(1, node(0, BOTTOM)))) is node(1, node(0, BOTTOM))
+    assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
+    assert type(BOTTOM)() is BOTTOM
+
+
+def test_deep_terms_hash_and_compare_without_recursion():
+    deep = _deep_list(5000)
+    assert isinstance(hash(deep), int)
+    assert _deep_list(5000) is deep
+    assert deep == _deep_list(5000)
+    assert {deep: 1}[_deep_list(5000)] == 1
+
+
+def test_hash_clashes_keep_distinct_terms_apart():
+    # hash(-1) == hash(-2) in CPython, so these two nodes share a hash
+    a, b = node(-1, "clash"), node(-2, "clash")
+    assert hash(a) == hash(b)
+    assert a is not b and a.label == -1 and b.label == -2
+    assert node(-1, "clash") is a and node(-2, "clash") is b
+    assert node(-1, a) is not node(-2, b) and node(-2, b) is node(-2, b)
+    del a  # the first of the two to be built leaves; the second stays found
+    gc.collect()
+    assert node(-2, "clash") is b
+    assert node(-1, "clash").label == -1
+
+
+def test_nodes_reject_attribute_assignment():
+    t = node(0, BOTTOM)
+    with pytest.raises(AttributeError):
+        t.label = 1
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.slots
+    assert t.label == 0 and t is node(0, BOTTOM)
+
+
+def test_unreachable_nodes_leave_the_intern_table():
+    t = _deep_list(300, labels=("only here",))
+    size, top = len(kernel._interned), hash(t)
+    assert kernel._interned[top]() is t
+    del t
+    gc.collect()
+    assert top not in kernel._interned
+    assert len(kernel._interned) <= size - 300
 
 
 # ---------------------------------------------------------------------------

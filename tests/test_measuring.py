@@ -405,8 +405,18 @@ def test_measuring_serialises_to_a_table():
     phi = canonical_term_measuring(nat_counter(1), n1, n1, name="m")
     blob = measuring_to_json(phi)
     assert blob["coalgebra"] == "fuel1"
-    assert blob["complete"]
+    assert blob["coverage"] == "exhaustive"
     assert {"coalgebraState", "input", "output"} == set(blob["table"][0])
     assert len(blob["table"]) == 2 * 2
     import json
     json.dumps(blob)
+
+
+def test_measuring_json_states_a_sampled_coverage():
+    lists = initial_term_algebra(G1)
+    phi = canonical_term_measuring(term_unfold_coalgebra(G1, 1), lists, lists)
+    blob = measuring_to_json(phi, depth=2)
+    assert blob["coverage"] == "sampled: terms of depth <= 2"
+    blob = measuring_to_json(phi, depth=2, labels=(0,))
+    assert blob["coverage"] == "sampled: terms of depth <= 2; labels 0"
+    assert len(blob["table"]) == len(phi.coalg.states) * 3  # #b, (0 #b), (0 (0 #b))

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from cind import oracle
 from cind.carriers import (coalgebra, finite_algebra, initial_term_algebra,
                            nat_counter, shape_coalgebra, term_algebra_bounded,
                            term_unfold_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
                          const_sig, identity_hom, identity_nat, is_bottom,
                          nat_transform, shape_sig, unit_hom)
-from cind.measuring import canonical_term_measuring, check_law
+from cind.measuring import Measuring, canonical_term_measuring, check_law
 from cind.oracle import (check_adjunction, check_c_initial,
                          check_preinitial_subterminal,
                          check_preserves_c_initial,
@@ -237,6 +238,26 @@ def test_respects_composition_detects_breakage():
     mu2 = nat_transform(F1, H2, unit_hom(BOOL_OR), (0, 0), name="perfect")
     report = check_respects_composition("push", [(mu2, phi, phi)])
     assert report.ok
+
+
+def test_respects_composition_fails_for_a_transport_that_ignores_the_fuel(monkeypatch):
+    real = oracle.push_measuring
+
+    def fuel_blind(mu, phi, *args):
+        # runs every fuel state as the machine's second one; on the product
+        # machine of a composite that state is (0, 1), not (1, 1)
+        pushed = real(mu, phi, *args)
+        fixed = pushed.coalg.states[1]
+        return Measuring(pushed.coalg, pushed.source, pushed.target,
+                         lambda c, x: pushed.eval(fixed, x), pushed.name)
+
+    monkeypatch.setattr(oracle, "push_measuring", fuel_blind)
+    n2 = term_algebra_bounded(F1, 2)
+    phi = canonical_term_measuring(nat_counter(2), n2, n2)
+    mu2 = nat_transform(F1, H2, unit_hom(BOOL_OR), (0, 0), name="perfect")
+    report = oracle.check_respects_composition("push", [(mu2, phi, phi)])
+    assert report.status == "fails"
+    assert report.witnesses[0][0] == "instance 1"
 
 
 def test_respects_composition_over_an_infinite_carrier_is_sampled():

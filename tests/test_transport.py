@@ -5,7 +5,7 @@ from typing import Any
 
 import pytest
 
-from cind.carriers import (coalgebra, coalgebras_identical, finite_algebra,
+from cind.carriers import (Coalgebra, coalgebra, coalgebras_identical, finite_algebra,
                            initial_term_algebra, nat_counter, perfect_shape,
                            term_algebra_bounded, term_unfold_coalgebra,
                            tensor_coalgebra, unit_coalgebra)
@@ -332,6 +332,76 @@ def test_restriction_is_maximal():
                     return v.label == 0 and all(x in candidate for x in v.slots)
 
                 assert not all(ok(s) for s in candidate)
+
+
+def _naive_restriction(mu, c):
+    """The greatest lifting set by its definition: drop every state whose
+    unfolding does not lift or names a dropped state, until none is left."""
+    preimage = {mu.hom.apply(x): x for x in mu.source.monoid.elements}
+
+    def lifts(v, kept):
+        if c.sig.kind == "const":
+            return v in preimage
+        if is_bottom(v):
+            return True
+        return (v.label in preimage and all(s in kept for s in v.slots)
+                and all(v.slots[j] == v.slots[k]
+                        for j, k in itertools.combinations(range(len(v.slots)), 2)
+                        if mu.reindex[j] == mu.reindex[k]))
+
+    kept = set(c.states)
+    changed = True
+    while changed:
+        changed = False
+        for s in reversed(c.states):
+            if s in kept and not lifts(c.chi[s], kept):
+                kept.discard(s)
+                changed = True
+    return tuple(s for s in c.states if s in kept)
+
+
+def _random_machine(sig, n, rng):
+    """Mostly unit labels and mostly equal slots, so that some states lift."""
+    chi = {}
+    for s in range(n):
+        if sig.kind == "const":
+            chi[s] = rng.choice(sig.monoid.elements)
+        elif rng.random() < 0.15:
+            chi[s] = BOTTOM
+        else:
+            first = rng.randrange(n)
+            slots = tuple(first if rng.random() < 0.8 else rng.randrange(n)
+                          for _ in range(sig.arity))
+            chi[s] = node(0 if rng.random() < 0.85 else 1, *slots)
+    return coalgebra(sig, range(n), chi)
+
+
+CONST_UNIT = nat_transform(const_sig(TRIV), const_sig(BOOL_OR), unit_hom(BOOL_OR))
+
+
+@pytest.mark.parametrize("mu", [CONST_UNIT, MU_FLIP, MU_LIST, MU_TREE])
+def test_restriction_matches_the_naive_greatest_fixpoint(mu):
+    rng = random.Random(41)
+    for _ in range(40):
+        c = _random_machine(mu.target, rng.randint(1, 30), rng)
+        assert restrict_coalgebra(mu, c).kept == _naive_restriction(mu, c)
+
+
+def test_restriction_drops_a_state_that_names_an_unknown_state():
+    # built directly, since coalgebra() rejects such machines
+    c = Coalgebra(G1, ("s", "t"), {"s": node(0, "ghost"), "t": node(0, "s")})
+    assert restrict_coalgebra(MU_LIST, c).kept == ()
+
+
+@pytest.mark.parametrize("end", [BOTTOM, node(1, 1999)])
+def test_restriction_of_a_long_chain(end):
+    # 0 -> 1 -> ... -> 1999, whose last state lifts or does not
+    chi = {s: node(0, s + 1) for s in range(1999)}
+    chi[1999] = end
+    c = coalgebra(G1, range(2000), chi)
+    kept = restrict_coalgebra(MU_LIST, c).kept
+    assert kept == _naive_restriction(MU_LIST, c)
+    assert len(kept) == (2000 if end is BOTTOM else 0)
 
 
 def test_restriction_transposes_roundtrip():
