@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV,
+from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV, _render,
                      functor_map, is_bottom, shape_sig, unit_value,
                      zip_values)
 
@@ -73,13 +73,7 @@ def _using(old, new, arity):
 def render_term(t) -> str:
     """Canonical text rendering: ``#b`` for bottom, ``(m child ...)`` for
     nodes.  Non-term slots (machine state names) render as bare atoms."""
-    if is_bottom(t):
-        return "#b"
-    if not isinstance(t, Node):
-        return str(t)
-    if not t.slots:
-        return f"({t.label})"
-    return "(" + " ".join([str(t.label)] + [render_term(s) for s in t.slots]) + ")"
+    return _render(t, str)
 
 
 def render_value(x) -> str:

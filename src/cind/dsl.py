@@ -693,6 +693,9 @@ def _build_carrier(d: CarrierDecl, ref):
         missing = [x for x in (sig.monoid.elements or ()) if x not in alpha]
         if missing:
             raise _err(d.pos, f"constalg interpretation missing labels {missing!r}")
+        for m, x in alpha.items():
+            if x not in elements:
+                raise _err(d.pos, f"constalg structure map leaves the carrier: {m} -> {x}")
         return carriers.finite_algebra(sig, elements, alpha.__getitem__, d.name)
     if head == "counter":
         return carriers.counter_coalgebra(ref(arg(0, "ref")), arg(1, "int"))

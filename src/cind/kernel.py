@@ -383,13 +383,31 @@ class Node:
         return Node, (self.label, self.slots)
 
     def __repr__(self):
-        if not self.slots:
-            return f"({self.label})"
-        return "(" + " ".join([str(self.label)] + [repr(s) for s in self.slots]) + ")"
+        return _render(self, repr)
 
 
 def node(label, *slots) -> Node:
     return Node(label, tuple(slots))
+
+
+def _render(t, leaf) -> str:
+    """``(label slot ...)`` for a node, ``leaf(t)`` for anything else.  The
+    walk keeps its own stack, so a term of any depth renders."""
+    parts = []
+    stack = [(False, t)]  # (is literal text, item)
+    while stack:
+        text, x = stack.pop()
+        if text:
+            parts.append(x)
+        elif isinstance(x, Node):
+            parts.append(f"({x.label}")
+            stack.append((True, ")"))
+            for s in reversed(x.slots):
+                stack.append((False, s))
+                stack.append((True, " "))
+        else:
+            parts.append(leaf(x))
+    return "".join(parts)
 
 
 def is_bottom(v) -> bool:

@@ -77,13 +77,14 @@ def _memoized(fn):
 # the defining law
 
 
-def _law_mismatches(evalfn, coalg, source, target, elems, labels, limit):
-    """Yield (state, value, got, expected) wherever the one-step law fails."""
+def _law_mismatches(evalfn, coalg, source, target, values, limit):
+    """Yield (state, value, got, expected) wherever the one-step law fails;
+    ``values`` are the (value, source.alpha(value)) pairs to check."""
     found = 0
     for c in coalg.states:
         chi_c = coalg.chi[c]
-        for v in fvalues(source.sig, elems, labels):
-            lhs = evalfn(c, source.alpha(v))
+        for v, out in values:
+            lhs = evalfn(c, out)
             zipped = zip_values(source.sig, chi_c, v)
             rhs = target.alpha(functor_map(source.sig, lambda p: evalfn(p[0], p[1]), zipped))
             if lhs != rhs:
@@ -118,14 +119,15 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
     if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
         raise ValueError("measuring endpoints live over different signatures")
     elems, labels, sampled = _source_domain(phi, depth, labels)
-    n_values = len(fvalues(phi.source.sig, elems, labels))
+    values = [(v, phi.source.alpha(v)) for v in fvalues(phi.source.sig, elems, labels)]
+    n_values = len(values)
     coalg = phi.coalg
     if budget is not None and len(coalg.states) * n_values > budget:
         keep = coalg.states[:max(1, budget // max(1, n_values))]
         sampled.append(f"{len(keep)} of {len(coalg.states)} fuel states")
         coalg = Coalgebra(coalg.sig, keep, {s: coalg.chi[s] for s in keep})
     violations = _law_mismatches(phi.eval, coalg, phi.source, phi.target,
-                                 elems, labels, max_witnesses)
+                                 values, max_witnesses)
     return Report.of("law", phi.name, violations,
                      checked=len(coalg.states) * n_values,
                      sampled="; ".join(sampled) or None)

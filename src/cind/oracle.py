@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .carriers import (Algebra, Coalgebra, coalgebra, table_algebra,
                        unit_coalgebra)
@@ -47,9 +48,13 @@ class SolveResult:
 class _Structure:
     """Target-independent constraint graph for measurings out of (C, A).
 
-    One cell per (state, element).  Every signature value v over the carrier
-    induces the constraint cell(c, alpha(v)) = interpretation of the zipped
-    unfolding, whose slots reference other cells.
+    One cell per (state, element), numbered ``s * |A| + e``.  Every signature
+    value v over the carrier induces the constraint cell(c, alpha(v)) =
+    interpretation of the zipped unfolding, whose slots reference other
+    cells.  A constraint is (lhs, deps, label): the cell it defines, the cells
+    in its slots, and the index of its label in the finite monoid, -1 for
+    bottom.  The source's structure map is read once per value, not once per
+    cell.
     """
 
     def __init__(self, c: Coalgebra, a: Algebra):
@@ -61,111 +66,146 @@ class _Structure:
             raise ValueError("signature mismatch between fuel and source")
         self.coalg, self.algebra = c, a
         self.states, self.elems = c.states, a.elements
+        sig, labels = a.sig, a.sig.monoid.elements
+        lindex = {m: i for i, m in enumerate(labels)}
         sindex = {s: i for i, s in enumerate(self.states)}
         eindex = {e: i for i, e in enumerate(self.elems)}
         ne = len(self.elems)
         self.ncells = len(self.states) * ne
+        values = []  # (output, label, slots) per value, as indices; label -1 for bottom
+        for v in fvalues(sig, self.elems):
+            out = eindex.get(a.alpha(v))
+            if out is None:
+                raise ValueError(f"structure map of {a!r} left the carrier at {v!r}")
+            if sig.kind == CONST:
+                values.append((out, lindex[v], ()))
+            elif is_bottom(v):
+                values.append((out, -1, ()))
+            else:
+                values.append((out, lindex[v.label], tuple(eindex[x] for x in v.slots)))
+        op = sig.monoid.op
+        products = [[lindex[op(x, y)] for y in labels] for x in labels]
         seen = set()
-        constraints = []  # (lhs, deps, kind, label)
-        for s in self.states:
-            si = sindex[s]
+        constraints = []
+        for si, s in enumerate(self.states):
             chi = c.chi[s]
-            for v in fvalues(a.sig, self.elems):
-                out = a.alpha(v)
-                if out not in eindex:
-                    raise ValueError(f"structure map of {a!r} left the carrier at {v!r}")
-                lhs = si * ne + eindex[out]
-                if a.sig.kind == CONST:
-                    cons = (lhs, (), "label", a.sig.monoid.op(chi, v))
-                elif is_bottom(chi) or is_bottom(v):
-                    cons = (lhs, (), "bottom", None)
+            if sig.kind == CONST:
+                row, bases = products[lindex[chi]], ()
+            elif is_bottom(chi):
+                row = None
+            else:
+                row, bases = products[lindex[chi.label]], [sindex[cs] * ne for cs in chi.slots]
+            for out, m, slots in values:
+                if row is None or m < 0:
+                    cons = (si * ne + out, (), -1)
                 else:
-                    deps = tuple(sindex[cs] * ne + eindex[vs]
-                                 for cs, vs in zip(chi.slots, v.slots))
-                    cons = (lhs, deps, "node", a.sig.monoid.op(chi.label, v.label))
+                    cons = (si * ne + out, tuple(map(add, bases, slots)), row[m])
                 if cons not in seen:
                     seen.add(cons)
                     constraints.append(cons)
         self.constraints = constraints
         self.by_dep = [[] for _ in range(self.ncells)]
-        for ci, (_, deps, _, _) in enumerate(constraints):
+        for ci, (_, deps, _) in enumerate(constraints):
             for d in set(deps):
                 self.by_dep[d].append(ci)
-        self.initial = [ci for ci, (_, deps, _, _) in enumerate(constraints) if not deps]
+        self.initial = [ci for ci, (_, deps, _) in enumerate(constraints) if not deps]
 
     def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET) -> SolveResult:
+        """Propagate the constraints into b, branching in cell order over b's
+        elements on the cells they leave free.  Cells hold indices into
+        ``b.elements``.  The right-hand side of a constraint is the code of its
+        value, code(bottom) = 0 and code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i)
+        with n = |B|; b's structure map is read once per code."""
         if b.elements is None:
             raise ValueError("solver needs a finite target carrier")
         if b.sig != self.algebra.sig:
             raise ValueError(
                 f"signature mismatch: target over {b.sig!r}, source over {self.algebra.sig!r}")
-        constraints = self.constraints
+        constraints, by_dep = self.constraints, self.by_dep
+        sig, labels = b.sig, b.sig.monoid.elements
+        targets = b.elements
+        n = len(targets)
+        bindex = {e: i for i, e in enumerate(targets)}
+        images = {}  # code -> index of its image in b
         assign = [None] * self.ncells
-        steps = [0]
+        steps = 0
         solutions = []
-        b_bottom = b.alpha(BOTTOM) if self.algebra.sig.kind != CONST else None
+        keys = [(s, e) for s in self.states for e in self.elems]
 
-        def rhs(ci):
-            lhs, deps, kind, label = constraints[ci]
-            if kind == "bottom":
-                return b_bottom
-            if kind == "label":
-                return b.alpha(label)
-            return b.alpha(Node(label, tuple(assign[d] for d in deps)))
+        def image(code, m, deps):
+            if m < 0:
+                v = BOTTOM
+            elif sig.kind == CONST:
+                v = labels[m]
+            else:
+                v = Node(labels[m], tuple(targets[assign[d]] for d in deps))
+            out = images[code] = bindex.get(b.alpha(v))
+            if out is None:
+                raise ValueError(f"structure map of {b!r} left the carrier at {v!r}")
+            return out
 
         def propagate(queue, trail) -> bool:
+            nonlocal steps
             while queue:
-                ci = queue.pop()
-                lhs, deps, _, _ = constraints[ci]
-                if any(assign[d] is None for d in deps):
-                    continue
-                steps[0] += 1
-                if steps[0] > budget:
-                    raise BudgetExceeded
-                val = rhs(ci)
-                cur = assign[lhs]
-                if cur is None:
-                    assign[lhs] = val
-                    trail.append(lhs)
-                    queue.extend(self.by_dep[lhs])
-                elif cur != val:
-                    return False
+                lhs, deps, m = constraints[queue.pop()]
+                code = m
+                for d in deps:
+                    x = assign[d]
+                    if x is None:
+                        break
+                    code = code * n + x
+                else:  # every slot is assigned
+                    steps += 1
+                    if steps > budget:
+                        raise BudgetExceeded
+                    code += 1
+                    val = images.get(code)
+                    if val is None:
+                        val = image(code, m, deps)
+                    cur = assign[lhs]
+                    if cur is None:
+                        assign[lhs] = val
+                        trail.append(lhs)
+                        queue.extend(by_dep[lhs])
+                    elif cur != val:
+                        return False
             return True
 
         def undo(trail):
             for cell in trail:
                 assign[cell] = None
 
-        def snapshot():
-            ne = len(self.elems)
-            return {(s, e): assign[si * ne + ei]
-                    for si, s in enumerate(self.states)
-                    for ei, e in enumerate(self.elems)}
-
-        def search(queue) -> None:
-            trail = []
-            if not propagate(queue, trail):
-                undo(trail)
-                return
-            try:
-                cell = assign.index(None)
-            except ValueError:
-                solutions.append(snapshot())
-                undo(trail)
-                return
-            for val in b.elements:
-                assign[cell] = val
-                try:
-                    search(list(self.by_dep[cell]))
-                finally:
-                    assign[cell] = None
-            undo(trail)
-
+        # Depth-first search with an explicit stack of (cell, trail): the
+        # branching cell holds the value being tried (-1 before the first),
+        # and trail the cells propagation assigned before it branched.
+        stack = []
+        queue = list(self.initial)
         try:
-            search(list(self.initial))
-            return SolveResult(tuple(solutions), True, steps[0])
+            while True:
+                trail = []
+                if propagate(queue, trail):
+                    try:
+                        cell = assign.index(None)
+                    except ValueError:
+                        solutions.append(dict(zip(keys, map(targets.__getitem__, assign))))
+                    else:
+                        stack.append((cell, trail))
+                        assign[cell] = -1
+                        trail = []
+                undo(trail)
+                while stack:  # try the next value of the innermost open cell
+                    cell, trail = stack[-1]
+                    if assign[cell] + 1 < n:
+                        assign[cell] += 1
+                        queue = list(by_dep[cell])
+                        break
+                    assign[cell] = None
+                    undo(trail)
+                    stack.pop()
+                else:
+                    return SolveResult(tuple(solutions), True, steps)
         except BudgetExceeded:
-            return SolveResult(tuple(solutions), False, steps[0])
+            return SolveResult(tuple(solutions), False, steps)
 
 
 def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,

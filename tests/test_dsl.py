@@ -324,7 +324,20 @@ coalg C = machine(K, {c -> 0})
 check unique C A A
 """)
     assert code == 2
-    assert "5:1: structure map" in capsys.readouterr().err
+    assert "3:1: constalg structure map leaves the carrier: 1 -> z" in capsys.readouterr().err
+
+
+def test_cli_target_outside_its_carrier_is_an_elaboration_error(tmp_path, capsys):
+    code, out = _check_script(tmp_path, """monoid M = table {0, 1} max 0
+functor K = const(M)
+alg A = constalg(K, {a0, a1}, {0 -> a0, 1 -> a1})
+alg B = constalg(K, {b0, b1}, {0 -> b0, 1 -> b2})
+coalg C = machine(K, {c -> 0})
+check count C A B 1
+""")
+    assert code == 2
+    assert out == ""
+    assert "4:1: constalg structure map leaves the carrier: 1 -> b2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["check unique D L L", "check c-initial D L"])

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from cind import kernel
+from cind.carriers import render_term, render_value
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          TRUTH_OR, collapse_hom, compose_nats, finite_monoid,
                          functor_map, fvalues, hom, hom_check, identity_hom,
@@ -41,6 +42,10 @@ def test_deep_terms_hash_and_compare_without_recursion():
     assert _deep_list(5000) is deep
     assert deep == _deep_list(5000)
     assert {deep: 1}[_deep_list(5000)] == 1
+    rendered = "(1 (0 " * 2500 + "#b" + ")" * 5000
+    assert repr(deep) == rendered
+    assert render_term(deep) == rendered
+    assert render_value((deep, "s")) == f"({rendered} s)"
 
 
 def test_hash_clashes_keep_distinct_terms_apart():

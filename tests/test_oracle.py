@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -34,7 +36,7 @@ def _canonical(tables):
 
 def test_solver_matches_raw_filter_on_seeded_instances():
     rng = random.Random(100)
-    sigs = [F1, G1, const_sig(BOOL_OR), const_sig(TRUTH_AND)]
+    sigs = [F1, G1, H2, const_sig(BOOL_OR), const_sig(TRUTH_AND)]
     for trial in range(12):
         sig = sigs[trial % len(sigs)]
         c = random_coalgebra(sig, rng.randint(1, 3), rng)
@@ -139,6 +141,52 @@ def test_free_cells_multiply_solution_count():
     assert _canonical(result.solutions) == _canonical(raw_lawful_tables(c, a, b))
     for table in result.solutions:
         assert table["c", "root"] == "b0"
+
+
+def test_search_of_many_free_cells_needs_no_recursion():
+    # 1 499 uninterpreted elements leave 1 499 free cells, one branch deep each
+    elems = tuple(range(1500))
+    a = finite_algebra(const_sig(BOOL_OR), elems, lambda m: 0, "loose")
+    c = coalgebra(const_sig(BOOL_OR), ("c",), {"c": 0})
+    b = finite_algebra(const_sig(BOOL_OR), ("b",), lambda m: "b", "one")
+    result = solve_measurings(c, a, b)
+    assert result.exhaustive
+    assert result.solutions == ({("c", e): "b" for e in elems},)
+
+
+def test_solver_frees_its_structure_when_solve_returns():
+    rng = random.Random(9)
+    c = random_coalgebra(G1, 2, rng)
+    a = random_algebra(G1, 2, rng)
+    structure = oracle._Structure(c, a)
+    ref = weakref.ref(structure)
+    gc.disable()  # a reference cycle would keep it alive until the collector ran
+    try:
+        structure.solve(random_algebra(G1, 2, rng))
+        del structure
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_solver_rejects_a_target_that_leaves_its_carrier():
+    a = finite_algebra(const_sig(BOOL_OR), ("a0", "a1"), {0: "a0", 1: "a1"}.__getitem__, "A")
+    b = finite_algebra(const_sig(BOOL_OR), ("b0", "b1"), {0: "b0", 1: "b2"}.__getitem__, "B")
+    c = coalgebra(const_sig(BOOL_OR), ("c",), {"c": 0})
+    with pytest.raises(ValueError, match="left the carrier at 1"):
+        solve_measurings(c, a, b)
+    leaky = finite_algebra(G1, ("b0",), lambda v: "b1", "leaky")
+    with pytest.raises(ValueError, match="left the carrier at #b"):
+        solve_measurings(unit_coalgebra(G1), term_algebra_bounded(G1, 1), leaky)
+
+
+def test_unique_on_dual_lists_does_the_same_propagation_work():
+    # the integer core takes exactly the steps the term-based solver took
+    lists = term_algebra_bounded(G1, 5)
+    result = solve_measurings(term_unfold_coalgebra(G1, 5), lists, lists)
+    assert result.exhaustive
+    assert len(result.solutions) == 1
+    assert result.steps == 7937
 
 
 def test_bang_adjunction_with_non_injective_hom():
