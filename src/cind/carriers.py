@@ -179,15 +179,26 @@ class Coalgebra:
 
 
 def coalgebra(sig: FunctorSig, states, chi: dict, name: str = "") -> Coalgebra:
+    """A machine from its unfolding map, checked: every unfolding is a value
+    over the signature whose label lies in a finite label monoid and, for
+    shapes, whose slots name known states."""
     states = tuple(states)
     known = set(states)
+    labels = sig.monoid.elements
     for c in states:
         v = chi[c]
-        if sig.kind == SHAPE and not is_bottom(v):
+        if sig.kind == SHAPE:
+            if is_bottom(v):
+                continue
+            if not isinstance(v, Node):
+                raise ValueError(f"state {c!r} unfolds to {v!r}, not a node or bottom")
             if len(v.slots) != sig.arity:
                 raise ValueError(f"state {c!r} unfolds with wrong arity")
             if any(s not in known for s in v.slots):
                 raise ValueError(f"state {c!r} unfolds to unknown states")
+        label = v.label if sig.kind == SHAPE else v
+        if labels is not None and label not in labels:
+            raise ValueError(f"state {c!r} unfolds with label {label!r} outside {sig.monoid.name}")
     return Coalgebra(sig, states, dict(chi), name)
 
 

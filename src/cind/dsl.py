@@ -2,9 +2,14 @@
 morphisms, carriers, measurings, and checks.
 
 One-pass recursive descent over a fixed token set; parse errors carry
-line:col and the expected-token set.  Parsing also resolves references and
-rejects kind mismatches; elaboration then builds the semantic objects and
-``run`` executes the declared checks.
+line:col and the expected-token set.  ``functor``, ``alg``, ``coalg`` and
+``measure`` declarations share one call form, ``KEYWORD NAME = head(arg,
+...)``, and one table, ``_CONSTRUCTORS``, which gives each (keyword, head)
+its argument kinds and its builder.  Parsing also resolves references and
+checks every call against its row (head, argument count, literal and
+reference kinds), so a slip is a parse error naming the usage.  Elaboration
+then calls each row's builder, and ``run`` solves the measures and executes
+the declared checks.
 """
 
 from __future__ import annotations
@@ -129,14 +134,6 @@ class HomDecl(Decl):
 
 
 @dataclass(frozen=True)
-class FunctorDecl(Decl):
-    name: str
-    kind: str  # const | shape
-    monoid: str
-    arity: int = 0
-
-
-@dataclass(frozen=True)
 class NatDecl(Decl):
     name: str
     src: str
@@ -146,19 +143,11 @@ class NatDecl(Decl):
 
 
 @dataclass(frozen=True)
-class CarrierDecl(Decl):
-    which: str  # alg | coalg
+class CallDecl(Decl):
+    which: str  # functor | alg | coalg | measure
     name: str
     head: str
     args: tuple
-
-
-@dataclass(frozen=True)
-class MeasureDecl(Decl):
-    name: str
-    coalg: str
-    source: str
-    target: str
 
 
 @dataclass(frozen=True)
@@ -167,8 +156,8 @@ class CheckDecl(Decl):
     args: tuple
 
 
-# argument payloads inside carrier constructor calls
-# ("ref", name) | ("int", k) | ("term", t) | ("set", atoms) | ("map", pairs)
+# call arguments: ("ref", name) | ("int", k) | ("set", atoms) | ("map", pairs),
+# where a map pairs an atom with an atom, bottom, or a node over atoms
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +192,17 @@ class _Parser:
             self.fail(f"got {t.value!r}", expected=(str(want),))
         return self.next()
 
-    def at_sym(self, value) -> bool:
-        t = self.peek()
+    def at_sym(self, value, ahead=0) -> bool:
+        t = self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
         return t.kind == "SYM" and t.value == value
+
+    def listed(self, item) -> list:
+        """One or more items separated by commas."""
+        items = [item()]
+        while self.at_sym(","):
+            self.next()
+            items.append(item())
+        return items
 
     # atoms are bare labels: names or integers
     def atom(self):
@@ -229,10 +226,7 @@ class _Parser:
             return Node(label, tuple(slots))
         if self.at_sym("["):
             self.next()
-            items = [self.atom()]
-            while self.at_sym(","):
-                self.next()
-                items.append(self.atom())
+            items = self.listed(self.atom)
             self.expect("SYM", "]")
             out = BOTTOM
             for x in reversed(items):
@@ -256,19 +250,13 @@ class _Parser:
             return self.monoid_decl(pos)
         if kw == "hom":
             return self.hom_decl(pos)
-        if kw == "functor":
-            return self.functor_decl(pos)
         if kw == "nat":
             return self.nat_decl(pos)
-        if kw in ("alg", "coalg"):
-            return self.carrier_decl(pos)
-        if kw == "measure":
-            return self.measure_decl(pos)
+        if kw in ("functor", "alg", "coalg", "measure"):
+            return self.call_decl(pos)
         if kw == "check":
             return self.check_decl(pos)
-        self.fail(f"got {kw!r}",
-                  expected=("monoid", "hom", "functor", "nat", "alg", "coalg",
-                            "measure", "check"))
+        self.fail(f"got {kw!r}", expected=_DECL_KEYWORDS)
 
     def monoid_decl(self, pos):
         self.next()
@@ -281,10 +269,7 @@ class _Parser:
             return MonoidDecl(name, ("builtin", which), pos=pos)
         self.expect("NAME", "table")
         self.expect("SYM", "{")
-        elems = [self.atom()]
-        while self.at_sym(","):
-            self.next()
-            elems.append(self.atom())
+        elems = self.listed(self.atom)
         self.expect("SYM", "}")
         opname = self.expect("NAME").value
         unit = self.atom()
@@ -299,33 +284,14 @@ class _Parser:
         dst = self.expect("NAME").value
         self.expect("SYM", "=")
         self.expect("SYM", "[")
-        pairs = [self.arrow_pair()]
-        while self.at_sym(","):
-            self.next()
-            pairs.append(self.arrow_pair())
+        pairs = self.listed(self.arrow_pair)
         self.expect("SYM", "]")
         return HomDecl(name, src, dst, tuple(pairs), pos=pos)
 
-    def arrow_pair(self):
+    def arrow_pair(self, value=None):
         a = self.atom()
         self.expect("SYM", "->")
-        return (a, self.atom())
-
-    def functor_decl(self, pos):
-        self.next()
-        name = self.expect("NAME").value
-        self.expect("SYM", "=")
-        kind = self.expect("NAME").value
-        if kind not in ("const", "shape"):
-            self.fail(f"got {kind!r}", expected=("const", "shape"))
-        self.expect("SYM", "(")
-        monoid = self.expect("NAME").value
-        arity = 0
-        if kind == "shape":
-            self.expect("SYM", ",")
-            arity = self.expect("INT").value
-        self.expect("SYM", ")")
-        return FunctorDecl(name, kind, monoid, arity, pos=pos)
+        return (a, (value or self.atom)())
 
     def nat_decl(self, pos):
         self.next()
@@ -343,29 +309,20 @@ class _Parser:
             self.next()
             self.expect("NAME", "reindex")
             self.expect("SYM", "[")
-            idx = [self.expect("INT").value]
-            while self.at_sym(","):
-                self.next()
-                idx.append(self.expect("INT").value)
+            reindex = tuple(self.listed(lambda: self.expect("INT").value))
             self.expect("SYM", "]")
-            reindex = tuple(idx)
         self.expect("SYM", ")")
         return NatDecl(name, src, dst, h, reindex, pos=pos)
 
-    def carrier_decl(self, pos):
+    def call_decl(self, pos):
         which = self.next().value
         name = self.expect("NAME").value
         self.expect("SYM", "=")
         head = self.expect("NAME").value
         self.expect("SYM", "(")
-        args = []
-        if not self.at_sym(")"):
-            args.append(self.call_arg())
-            while self.at_sym(","):
-                self.next()
-                args.append(self.call_arg())
+        args = [] if self.at_sym(")") else self.listed(self.call_arg)
         self.expect("SYM", ")")
-        return CarrierDecl(which, name, head, tuple(args), pos=pos)
+        return CallDecl(which, name, head, tuple(args), pos=pos)
 
     def call_arg(self):
         t = self.peek()
@@ -373,34 +330,22 @@ class _Parser:
             return ("int", self.next().value)
         if t.kind == "NAME":
             return ("ref", self.next().value)
-        if t.kind == "BOTTOM" or self.at_sym("(") or self.at_sym("["):
-            return ("term", self.term())
         if self.at_sym("{"):
             self.next()
-            first = self.atom()
-            if self.at_sym("->"):
-                self.next()
-                pairs = [(first, self.brace_value())]
-                while self.at_sym(","):
-                    self.next()
-                    pairs.append(self.arrow_pair_value())
-                self.expect("SYM", "}")
-                return ("map", tuple(pairs))
-            items = [first]
-            while self.at_sym(","):
-                self.next()
-                items.append(self.atom())
+            if self.at_sym("->", ahead=1):
+                arg = ("map", tuple(self.listed(lambda: self.arrow_pair(self.brace_value))))
+            else:
+                arg = ("set", tuple(self.listed(self.atom)))
             self.expect("SYM", "}")
-            return ("set", tuple(items))
+            return arg
         self.fail(f"got {t.value!r}", expected=("argument",))
 
     def brace_value(self):
         # one level of unfolding: bottom, a bare label, or a node whose slots
         # are state names
-        t = self.peek()
-        if t.kind == "BOTTOM":
+        if self.peek().kind == "BOTTOM":
             self.next()
-            return ("term", BOTTOM)
+            return BOTTOM
         if self.at_sym("("):
             self.next()
             label = self.atom()
@@ -408,27 +353,8 @@ class _Parser:
             while not self.at_sym(")"):
                 slots.append(self.atom())
             self.next()
-            return ("term", Node(label, tuple(slots)))
-        return ("atom", self.atom())
-
-    def arrow_pair_value(self):
-        a = self.atom()
-        self.expect("SYM", "->")
-        return (a, self.brace_value())
-
-    def measure_decl(self, pos):
-        self.next()
-        name = self.expect("NAME").value
-        self.expect("SYM", "=")
-        self.expect("NAME", "solve")
-        self.expect("SYM", "(")
-        c = self.expect("NAME").value
-        self.expect("SYM", ",")
-        a = self.expect("NAME").value
-        self.expect("SYM", ",")
-        b = self.expect("NAME").value
-        self.expect("SYM", ")")
-        return MeasureDecl(name, c, a, b, pos=pos)
+            return Node(label, tuple(slots))
+        return self.atom()
 
     def check_decl(self, pos):
         self.next()
@@ -452,11 +378,75 @@ def parse(text: str) -> Script:
 
 
 # ---------------------------------------------------------------------------
+# constructors: one row per (keyword, head)
+
+
+def _constalg(name, sig, elements, pairs):
+    if sig.kind != kernel.CONST:
+        raise ValueError("constalg expects a const functor")
+    alpha = dict(pairs)
+    missing = [x for x in (sig.monoid.elements or ()) if x not in alpha]
+    if missing:
+        raise ValueError(f"constalg interpretation missing labels {missing!r}")
+    for m, x in alpha.items():
+        if x not in elements:
+            raise ValueError(f"constalg structure map leaves the carrier: {m} -> {x}")
+    return carriers.finite_algebra(sig, elements, alpha.__getitem__, name)
+
+
+def _dual(_, alg):
+    if not alg.term_based or alg.bound is None:
+        raise ValueError("dual expects a bounded term algebra")
+    return carriers.term_unfold_coalgebra(alg.sig, alg.bound)
+
+
+def _machine(name, sig, pairs):
+    return carriers.coalgebra(sig, [state for state, _ in pairs], dict(pairs), name)
+
+
+def _solve(name, c, a, b, budget):
+    """A measure's solve report and its first lawful table as a measuring."""
+    result = oracle.solve_measurings(c, a, b, budget)
+    report = kernel.Report.of(
+        "solve", name, (f"{len(result.solutions)} lawful tables",),
+        failed=not result.solutions, ran_out=not result.exhaustive)
+    table = result.solutions[0] if result.solutions else {}
+    return report, measuring.table_measuring(c, a, b, table, name)
+
+
+# (keyword, head) -> (argument kinds, builder(name, *arguments)).  A kind is
+# a declaration keyword, for a reference to such a declaration, or a literal:
+# int, set ({a, b}) or map ({a -> v, ...}).  Measure rows are solved by run.
+_CONSTRUCTORS = {
+    ("functor", "const"): (("monoid",), lambda _, m: kernel.const_sig(m)),
+    ("functor", "shape"): (("monoid", "int"), lambda _, m, k: kernel.shape_sig(m, k)),
+    ("alg", "bounded"): (("functor", "int"),
+                         lambda _, f, n: carriers.term_algebra_bounded(f, n)),
+    ("alg", "initial"): (("functor",), lambda _, f: carriers.initial_term_algebra(f)),
+    ("alg", "pullback"): (("nat", "alg"), lambda _, mu, a: transport.pullback_algebra(mu, a)),
+    ("alg", "expand"): (("nat", "alg"),
+                        lambda _, mu, a: transport.expand_algebra(mu, a).algebra),
+    ("alg", "pushout"): (("nat", "alg"),
+                         lambda _, mu, a: transport.pushout_algebra(mu.hom, a).algebra),
+    ("alg", "constalg"): (("functor", "set", "map"), _constalg),
+    ("coalg", "counter"): (("functor", "int"),
+                           lambda _, f, n: carriers.counter_coalgebra(f, n)),
+    ("coalg", "shapes"): (("functor", "int"), lambda _, f, n: carriers.shape_coalgebra(f, n)),
+    ("coalg", "dual"): (("alg",), _dual),
+    ("coalg", "unit"): (("functor",), lambda _, f: carriers.unit_coalgebra(f)),
+    ("coalg", "tensor"): (("coalg", "coalg"), lambda _, c, d: carriers.tensor_coalgebra(c, d)),
+    ("coalg", "pushforward"): (("nat", "coalg"),
+                               lambda _, mu, c: transport.pushforward_coalgebra(mu, c)),
+    ("coalg", "restrict"): (("nat", "coalg"),
+                            lambda _, mu, c: transport.restrict_coalgebra(mu, c).coalg),
+    ("coalg", "machine"): (("functor", "map"), _machine),
+    ("measure", "solve"): (("coalg", "alg", "alg"), _solve),
+}
+
+
+# ---------------------------------------------------------------------------
 # resolution (names + kinds, no construction)
 
-_ALG_HEADS = {"bounded", "initial", "pullback", "expand", "pushout", "constalg"}
-_COALG_HEADS = {"counter", "shapes", "dual", "unit", "tensor", "pushforward",
-                "restrict", "machine"}
 # check kind -> its usage, the kinds of its references, the most numbers it takes
 _CHECK_KINDS = {
     "law": ("check law MEASURE", ("measure",), 0),
@@ -481,17 +471,25 @@ def _resolve(script: Script):
             raise DslError(f"duplicate name {name!r}", *pos)
         kinds[name] = info
 
+    def distinct(items, what, pos):
+        # a repeated set element or map key would be miscounted or dropped
+        seen = set()
+        for x in items:
+            if x in seen:
+                raise DslError(f"duplicate {what} {x!r}", *pos)
+            seen.add(x)
+
     for d in script.decls:
         pos = d.pos
         if isinstance(d, MonoidDecl):
+            if d.body[0] == "table":
+                distinct(d.body[1], "element", pos)
             declare(d.name, ("monoid",), pos)
         elif isinstance(d, HomDecl):
+            distinct([a for a, _ in d.pairs], "key", pos)
             need(d.src, "monoid", pos)
             need(d.dst, "monoid", pos)
             declare(d.name, ("hom",), pos)
-        elif isinstance(d, FunctorDecl):
-            need(d.monoid, "monoid", pos)
-            declare(d.name, ("functor", d.kind, d.arity), pos)
         elif isinstance(d, NatDecl):
             s = need(d.src, "functor", pos)
             t = need(d.dst, "functor", pos)
@@ -508,20 +506,29 @@ def _resolve(script: Script):
                 if any(not (1 <= i <= s[2]) for i in d.reindex):
                     raise DslError("reindex entry outside source slots (1-based)", *pos)
             declare(d.name, ("nat",), pos)
-        elif isinstance(d, CarrierDecl):
-            heads = _ALG_HEADS if d.which == "alg" else _COALG_HEADS
-            if d.head not in heads:
-                raise DslError(f"unknown {d.which} constructor {d.head!r}", *pos)
-            for kind, val in d.args:
-                if kind == "ref":
-                    if val not in kinds:
-                        raise DslError(f"unresolved reference {val!r}", *pos)
-            declare(d.name, (d.which,), pos)
-        elif isinstance(d, MeasureDecl):
-            need(d.coalg, "coalg", pos)
-            need(d.source, "alg", pos)
-            need(d.target, "alg", pos)
-            declare(d.name, ("measure",), pos)
+        elif isinstance(d, CallDecl):
+            if (d.which, d.head) not in _CONSTRUCTORS:
+                raise DslError(f"unknown {d.which} constructor {d.head!r}", *pos,
+                               expected=[h for w, h in _CONSTRUCTORS if w == d.which])
+            want = _CONSTRUCTORS[d.which, d.head][0]
+            usage = f"{d.head}({', '.join(want)})"
+            if len(d.args) != len(want):
+                raise DslError(f"{d.head} takes {len(want)} "
+                               f"argument{'s' * (len(want) != 1)}; usage: {usage}", *pos)
+            for i, ((kind, val), w) in enumerate(zip(d.args, want), 1):
+                if kind == "set":
+                    distinct(val, "element", pos)
+                elif kind == "map":
+                    distinct([a for a, _ in val], "key", pos)
+                if kind == "ref" and val not in kinds:
+                    raise DslError(f"unresolved reference {val!r}", *pos)
+                got = kinds[val][0] if kind == "ref" else kind
+                if got != w:
+                    shown = f"{got} {val!r}" if kind == "ref" else got
+                    raise DslError(f"{d.head} argument {i}: want {w}, got {shown}; "
+                                   f"usage: {usage}", *pos)
+            # a functor's info carries its head and arity, which nat checks read
+            declare(d.name, (d.which, d.head) + tuple(v for k, v in d.args if k == "int"), pos)
         elif isinstance(d, CheckDecl):
             if d.kind not in _CHECK_KINDS:
                 raise DslError(f"unknown check kind {d.kind!r}", *pos,
@@ -549,21 +556,11 @@ def _resolve(script: Script):
 
 def _print_arg(arg) -> str:
     kind, val = arg
-    if kind == "ref":
-        return str(val)
-    if kind == "int":
-        return str(val)
-    if kind == "term":
-        return carriers.render_term(val)
     if kind == "set":
         return "{" + ", ".join(map(str, val)) + "}"
     if kind == "map":
-        parts = []
-        for a, b in val:
-            rhs = carriers.render_term(b[1]) if b[0] == "term" else str(b[1])
-            parts.append(f"{a} -> {rhs}")
-        return "{" + ", ".join(parts) + "}"
-    raise ValueError(f"unknown argument kind {kind!r}")
+        return "{" + ", ".join(f"{a} -> {carriers.render_value(v)}" for a, v in val) + "}"
+    return str(val)
 
 
 def print_script(script: Script) -> str:
@@ -579,21 +576,14 @@ def print_script(script: Script) -> str:
         elif isinstance(d, HomDecl):
             pairs = ", ".join(f"{a} -> {b}" for a, b in d.pairs)
             lines.append(f"hom {d.name} : {d.src} -> {d.dst} = [{pairs}]")
-        elif isinstance(d, FunctorDecl):
-            if d.kind == "const":
-                lines.append(f"functor {d.name} = const({d.monoid})")
-            else:
-                lines.append(f"functor {d.name} = shape({d.monoid}, {d.arity})")
         elif isinstance(d, NatDecl):
             clause = f"hom {d.hom}"
             if d.reindex is not None:
                 clause += f", reindex [{', '.join(map(str, d.reindex))}]"
             lines.append(f"nat {d.name} : {d.src} -> {d.dst} = ({clause})")
-        elif isinstance(d, CarrierDecl):
+        elif isinstance(d, CallDecl):
             args = ", ".join(_print_arg(a) for a in d.args)
             lines.append(f"{d.which} {d.name} = {d.head}({args})")
-        elif isinstance(d, MeasureDecl):
-            lines.append(f"measure {d.name} = solve({d.coalg}, {d.source}, {d.target})")
         elif isinstance(d, CheckDecl):
             args = " ".join(str(v) for _, v in d.args)
             lines.append(f"check {d.kind}{' ' + args if args else ''}")
@@ -627,8 +617,16 @@ def _err(pos, message):
     return ScriptRunError(message, pos)
 
 
+def _build(d: CallDecl, env, *extra):
+    """Call the declaration's row builder on its arguments, references
+    looked up in env."""
+    build = _CONSTRUCTORS[d.which, d.head][1]
+    return build(d.name, *(env[v][1] if k == "ref" else v for k, v in d.args), *extra)
+
+
 def elaborate(script: Script) -> dict:
-    """Construct the semantic object for every declaration."""
+    """Construct the semantic object for every declaration but the measures,
+    which run solves."""
     env = {}
 
     def ref(name):
@@ -650,77 +648,15 @@ def elaborate(script: Script) -> dict:
                         d.name, elems, _OPS[opname], unit))
             elif isinstance(d, HomDecl):
                 env[d.name] = ("hom", kernel.hom(ref(d.src), ref(d.dst), dict(d.pairs)))
-            elif isinstance(d, FunctorDecl):
-                m = ref(d.monoid)
-                sig = kernel.const_sig(m) if d.kind == "const" else kernel.shape_sig(m, d.arity)
-                env[d.name] = ("functor", sig)
             elif isinstance(d, NatDecl):
                 reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
                 env[d.name] = ("nat", kernel.nat_transform(
                     ref(d.src), ref(d.dst), ref(d.hom), reindex, name=d.name))
-            elif isinstance(d, CarrierDecl):
-                env[d.name] = (d.which, _build_carrier(d, ref))
-            elif isinstance(d, (MeasureDecl, CheckDecl)):
-                pass  # executed by run
+            elif isinstance(d, CallDecl) and d.which != "measure":
+                env[d.name] = (d.which, _build(d, env))
         except (ValueError, KeyError) as exc:
             raise _err(d.pos, str(exc)) from exc
     return env
-
-
-def _build_carrier(d: CarrierDecl, ref):
-    def arg(i, want):
-        kind, val = d.args[i]
-        if kind != want:
-            raise _err(d.pos, f"{d.head}: argument {i + 1} must be a {want}")
-        return val
-
-    head = d.head
-    if head == "bounded":
-        return carriers.term_algebra_bounded(ref(arg(0, "ref")), arg(1, "int"))
-    if head == "initial":
-        return carriers.initial_term_algebra(ref(arg(0, "ref")))
-    if head == "pullback":
-        return transport.pullback_algebra(ref(arg(0, "ref")), ref(arg(1, "ref")))
-    if head == "expand":
-        return transport.expand_algebra(ref(arg(0, "ref")), ref(arg(1, "ref"))).algebra
-    if head == "pushout":
-        nat = ref(arg(0, "ref"))
-        return transport.pushout_algebra(nat.hom, ref(arg(1, "ref"))).algebra
-    if head == "constalg":
-        sig = ref(arg(0, "ref"))
-        elements = arg(1, "set")
-        alpha = {a: b[1] for a, b in arg(2, "map")}
-        missing = [x for x in (sig.monoid.elements or ()) if x not in alpha]
-        if missing:
-            raise _err(d.pos, f"constalg interpretation missing labels {missing!r}")
-        for m, x in alpha.items():
-            if x not in elements:
-                raise _err(d.pos, f"constalg structure map leaves the carrier: {m} -> {x}")
-        return carriers.finite_algebra(sig, elements, alpha.__getitem__, d.name)
-    if head == "counter":
-        return carriers.counter_coalgebra(ref(arg(0, "ref")), arg(1, "int"))
-    if head == "shapes":
-        return carriers.shape_coalgebra(ref(arg(0, "ref")), arg(1, "int"))
-    if head == "dual":
-        alg = ref(arg(0, "ref"))
-        if not alg.term_based or alg.bound is None:
-            raise _err(d.pos, "dual expects a bounded term algebra")
-        return carriers.term_unfold_coalgebra(alg.sig, alg.bound)
-    if head == "unit":
-        return carriers.unit_coalgebra(ref(arg(0, "ref")))
-    if head == "tensor":
-        return carriers.tensor_coalgebra(ref(arg(0, "ref")), ref(arg(1, "ref")))
-    if head == "pushforward":
-        return transport.pushforward_coalgebra(ref(arg(0, "ref")), ref(arg(1, "ref")))
-    if head == "restrict":
-        return transport.restrict_coalgebra(ref(arg(0, "ref")), ref(arg(1, "ref"))).coalg
-    if head == "machine":
-        sig = ref(arg(0, "ref"))
-        entries = arg(1, "map")
-        chi = {state: val[1] for state, val in entries}
-        states = tuple(s for s, _ in entries)
-        return carriers.coalgebra(sig, states, chi, d.name)
-    raise _err(d.pos, f"unknown constructor {head!r}")
 
 
 def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
@@ -734,14 +670,10 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
     reports = []
     for d in script.decls:
         try:
-            if isinstance(d, MeasureDecl):
-                c, a, b = env[d.coalg][1], env[d.source][1], env[d.target][1]
-                result = oracle.solve_measurings(c, a, b, budget)
-                reports.append(kernel.Report.of(
-                    "solve", d.name, (f"{len(result.solutions)} lawful tables",),
-                    failed=not result.solutions, ran_out=not result.exhaustive))
-                table = result.solutions[0] if result.solutions else {}
-                env[d.name] = ("measure", measuring.table_measuring(c, a, b, table, d.name))
+            if isinstance(d, CallDecl) and d.which == "measure":
+                report, phi = _build(d, env, budget)
+                reports.append(report)
+                env[d.name] = ("measure", phi)
             elif isinstance(d, CheckDecl):
                 reports.append(_run_check(d, env, budget))
         except ValueError as exc:

@@ -221,6 +221,11 @@ def hom(source: Monoid, target: Monoid, mapping, inverse=None) -> MonoidHom:
         missing = set(source.elements or ()) - set(mapping)
         if missing:
             raise ValueError(f"hom mapping not total, missing {sorted(map(str, missing))}")
+        for x, y in mapping.items():
+            if source.finite and x not in source.elements:
+                raise ValueError(f"hom maps {x!r} -> {y!r}, but {x!r} is not in {source.name}")
+            if target.finite and y not in target.elements:
+                raise ValueError(f"hom maps {x!r} -> {y!r}, but {y!r} is not in {target.name}")
     return MonoidHom(source, target, mapping, inverse)
 
 

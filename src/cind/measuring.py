@@ -17,9 +17,8 @@ from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
 from .kernel import (BOTTOM, CONST, NatTransform, Node, Report,
                      compose_nats, coverage_of, functor_map, fvalues, identity_nat,
                      is_bottom, _listing, nats_equal, unit_value, zip_values)
-from .transport import (ExpandedAlgebra, expand_algebra, pullback_algebra,
-                        pushforward_coalgebra, pushout_algebra,
-                        restrict_coalgebra)
+from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
+                        pushout_algebra, restrict_coalgebra)
 
 
 class MeasuringLawError(ValueError):
@@ -237,19 +236,17 @@ def embed_measuring(nu: NatTransform, mu: NatTransform, phi: Measuring,
     return out
 
 
-def push_measuring(mu: NatTransform, phi: Measuring,
-                   expanded_source: ExpandedAlgebra = None,
-                   expanded_target=None) -> Measuring:
+def push_measuring(mu: NatTransform, phi: Measuring) -> Measuring:
     """Transport a measuring along the left-adjoint direction.
 
     Constant signatures: act as phi on embedded carrier elements and by
-    relabelled fuel multiplication on new labels.  Shape signatures: recurse
-    over target terms, consuming one fuel step per node; a spent fuel state
-    maps the node to the expansion of the target's bottom interpretation.
+    relabelled fuel multiplication on new labels.  Shape signatures: the
+    canonical prune-and-fold measuring of the pushed fuel between the
+    expanded algebras, which consumes one fuel step per node.
     """
     if mu.source.kind == CONST:
-        pa = expanded_source or pushout_algebra(mu.hom, phi.source)
-        pb = expanded_target or pushout_algebra(mu.hom, phi.target)
+        pa = pushout_algebra(mu.hom, phi.source)
+        pb = pushout_algebra(mu.hom, phi.target)
         op2 = mu.target.monoid.op
         table = {}
         for s in phi.coalg.states:
@@ -266,26 +263,10 @@ def push_measuring(mu: NatTransform, phi: Measuring,
         return table_measuring(pushforward_coalgebra(mu, phi.coalg),
                                pa.algebra, pb.algebra, table, f"push[{phi.name}]")
 
-    ea = expanded_source or expand_algebra(mu, phi.source)
-    eb = expanded_target or expand_algebra(mu, phi.target)
-    op2 = mu.target.monoid.op
-    h = mu.hom.apply
-    bottom_image = eb.embed(phi.target.alpha(BOTTOM))
-    coalg = phi.coalg
-
-    def ev(state, t):
-        if is_bottom(t):
-            return BOTTOM
-        chi = coalg.chi[state]
-        if is_bottom(chi):
-            return bottom_image
-        return eb.algebra.alpha(Node(
-            op2(h(chi.label), t.label),
-            tuple(ev(chi.slots[mu.reindex[j]], t.slots[j])
-                  for j in range(mu.target.arity))))
-
-    return Measuring(pushforward_coalgebra(mu, coalg), ea.algebra, eb.algebra,
-                     rule=_memoized(ev), name=f"push[{phi.name}]")
+    return canonical_term_measuring(pushforward_coalgebra(mu, phi.coalg),
+                                    expand_algebra(mu, phi.source).algebra,
+                                    expand_algebra(mu, phi.target).algebra,
+                                    name=f"push[{phi.name}]")
 
 
 def pull_measuring(mu: NatTransform, phi: Measuring, sub=None) -> Measuring:

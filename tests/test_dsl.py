@@ -9,6 +9,7 @@ from cind import cli, dsl
 from cind.kernel import BOTTOM, node
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "cind" / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.cind"))
 
 
@@ -118,22 +119,28 @@ def test_roundtrip_covers_every_construct():
 monoid Nat = builtin nat
 monoid B = table {0, 1} max 0
 monoid MA = table {T, F} and T
+monoid MO = table {T, F} or F
 hom idB : B -> B = [0 -> 0, 1 -> 1]
+hom flip : MA -> MO = [T -> F, F -> T]
 functor F = shape(B, 1)
 functor H = shape(B, 2)
 functor CM = const(MA)
+functor CO = const(MO)
 nat dup : F -> H = (hom idB, reindex [1, 1])
+nat cflip : CM -> CO = (hom flip)
 alg L1 = bounded(F, 1)
 alg Li = initial(F)
 alg LP = pullback(dup, Li)
 alg T1 = expand(dup, L1)
 alg AC = constalg(CM, {x, y}, {T -> x, F -> y})
+alg PO = pushout(cflip, AC)
 coalg U = unit(F)
 coalg C1 = counter(F, 1)
 coalg S1 = shapes(H, 1)
 coalg D1 = dual(L1)
 coalg TT = tensor(C1, D1)
 coalg PF = pushforward(dup, C1)
+coalg R1 = restrict(dup, S1)
 coalg M1 = machine(F, {a -> (0 b), b -> #b})
 measure phi = solve(D1, L1, L1)
 check law phi
@@ -142,6 +149,9 @@ check count D1 L1 L1 1
 check c-initial D1 L1 2 3
 """
     once = dsl.parse(text)
+    # every constructor row appears, so a new row cannot skip the round trip
+    assert {(d.which, d.head) for d in once.decls
+            if isinstance(d, dsl.CallDecl)} == set(dsl._CONSTRUCTORS)
     printed = dsl.print_script(once)
     assert dsl.parse(printed) == once
     # printing is idempotent on the canonical form
@@ -387,3 +397,147 @@ def test_cli_c_initial_over_no_targets_is_a_parse_error(tmp_path, capsys, bounds
     code, _ = _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {bounds}\n")
     assert code == 2
     assert "5:1: check c-initial needs" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# constructor calls, checked against their table row
+
+# one declaration of each kind a constructor can reference; a call follows on line 8
+_PRELUDE = """monoid M = table {0, 1} max 0
+hom h : M -> M = [0 -> 0, 1 -> 1]
+functor F = shape(M, 1)
+nat n : F -> F = (hom h, reindex [1])
+alg A = bounded(F, 1)
+coalg C = counter(F, 1)
+measure P = solve(C, A, A)
+"""
+_LITERALS = {"int": "1", "set": "{x, y}", "map": "{x -> 0}"}
+_NAMES = {"monoid": "M", "functor": "F", "nat": "n", "alg": "A", "coalg": "C"}
+_OTHER_KIND = {"monoid": "F", "functor": "M", "nat": "A", "alg": "C", "coalg": "A"}
+
+
+@pytest.mark.parametrize("slip", ["missing", "extra", "wrong-kind"])
+@pytest.mark.parametrize("row", sorted(dsl._CONSTRUCTORS), ids="-".join)
+def test_cli_constructor_slip_is_a_parse_error(tmp_path, capsys, row, slip):
+    which, head = row
+    kinds = dsl._CONSTRUCTORS[row][0]
+    args = [_LITERALS[k] if k in _LITERALS else _NAMES[k] for k in kinds]
+    first_ref = next(i for i, k in enumerate(kinds) if k in _NAMES)
+    if slip == "missing":
+        args.pop()
+    elif slip == "extra":
+        args.append("1")
+    else:
+        args[first_ref] = _OTHER_KIND[kinds[first_ref]]
+    code, out = _check_script(tmp_path, f"{_PRELUDE}{which} X = {head}({', '.join(args)})\n")
+    assert code == 2 and not out
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"; usage: {head}({', '.join(kinds)})")
+    if slip == "wrong-kind":
+        assert f"8:1: {head} argument {first_ref + 1}: want {kinds[first_ref]}, got " in err
+    else:
+        assert f"8:1: {head} takes {len(kinds)} argument" in err
+
+
+_LISTS = """monoid Triv = builtin trivial
+monoid B = table {0, 1} max 0
+functor F = shape(Triv, 1)
+functor G = shape(B, 1)
+alg L = bounded(G, 1)
+coalg D = dual(L)
+"""
+
+
+@pytest.mark.parametrize("decl,message", [
+    ("alg X = bounded(L, 2)",
+     "bounded argument 1: want functor, got alg 'L'; usage: bounded(functor, int)"),
+    ("coalg X = counter(F)", "counter takes 2 arguments; usage: counter(functor, int)"),
+    ("coalg X = counter(F, 2, 3)", "counter takes 2 arguments; usage: counter(functor, int)"),
+    ("coalg X = counter(F, G)",
+     "counter argument 2: want int, got functor 'G'; usage: counter(functor, int)"),
+    ("coalg X = dual(G)", "dual argument 1: want alg, got functor 'G'; usage: dual(alg)"),
+    ("coalg X = tensor(D, G)",
+     "tensor argument 2: want coalg, got functor 'G'; usage: tensor(coalg, coalg)"),
+    ("coalg X = machine(G, {a, b})",
+     "machine argument 2: want map, got set; usage: machine(functor, map)"),
+    ("coalg X = countr(F, 2)", "unknown coalg constructor 'countr'"),
+])
+def test_cli_constructor_slips_name_the_argument(tmp_path, capsys, decl, message):
+    code, _ = _check_script(tmp_path, _LISTS + decl + "\n")
+    assert code == 2
+    assert f"7:1: {message}" in capsys.readouterr().err
+
+
+def test_cli_constalg_over_a_shape_functor_is_a_run_error(tmp_path, capsys):
+    code, _ = _check_script(tmp_path, _LISTS + """alg A = constalg(G, {x, y}, {0 -> x, 1 -> y})
+coalg U = unit(G)
+check unique U A A
+""")
+    assert code == 2
+    assert "7:1: constalg expects a const functor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("functor,message", [
+    ("shape(B, 1)", "state 'c' unfolds to 7, not a node or bottom"),
+    ("const(B)", "state 'c' unfolds with label 7 outside B"),
+])
+def test_cli_machine_with_a_bad_unfolding_is_a_run_error(tmp_path, capsys, functor, message):
+    code, _ = _check_script(tmp_path, f"""monoid B = table {{0, 1}} max 0
+functor K = {functor}
+coalg C = machine(K, {{c -> 7}})
+alg A = initial(K)
+check unique C A A
+""")
+    assert code == 2
+    assert f"3:1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hom,message", [
+    ("hom h : Triv -> B = [e -> 7]", "hom maps 'e' -> 7, but 7 is not in B"),
+    ("hom h : B -> B = [0 -> 0, 1 -> 0, 2 -> 1]", "hom maps 2 -> 1, but 2 is not in B"),
+])
+def test_cli_hom_leaving_a_finite_monoid_is_a_run_error(tmp_path, capsys, hom, message):
+    code, _ = _check_script(tmp_path, f"""monoid Triv = builtin trivial
+monoid B = table {{0, 1}} max 0
+{hom}
+""")
+    assert code == 2
+    assert f"3:1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decl,message", [
+    ("monoid M = table {0, 1, 0} max 0", "duplicate element 0"),
+    ("hom h : B -> B = [0 -> 0, 1 -> 1, 1 -> 0]", "duplicate key 1"),
+    ("alg A = constalg(K, {x, x}, {0 -> x, 1 -> x})", "duplicate element 'x'"),
+    ("alg A = constalg(K, {x, y}, {0 -> x, 0 -> y, 1 -> x})", "duplicate key 0"),
+    ("coalg C = machine(G, {a -> #b, a -> (0 a)})", "duplicate key 'a'"),
+])
+def test_cli_repeated_element_or_key_is_a_parse_error(tmp_path, capsys, decl, message):
+    # a repeated carrier element used to count two lawful tables where one exists
+    code, _ = _check_script(tmp_path, f"""monoid B = table {{0, 1}} max 0
+functor K = const(B)
+functor G = shape(B, 1)
+{decl}
+""")
+    assert code == 2
+    assert f"4:1: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the README's script language section
+
+
+def test_readme_script_example_runs(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Script language", 1)[1]
+    example = section.split("```text\n", 1)[1].split("```", 1)[0]
+    code, out = _check_script(tmp_path, example)
+    assert code == 0
+    assert "[holds] law zip2" in out
+
+
+def test_readme_lists_every_constructor_usage():
+    text = README.read_text(encoding="utf-8")
+    missing = [f"{head}({', '.join(kinds)})"
+               for (_, head), (kinds, _) in dsl._CONSTRUCTORS.items()
+               if f"`{head}({', '.join(kinds)})`" not in text]
+    assert not missing
