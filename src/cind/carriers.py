@@ -252,17 +252,15 @@ def term_as_coalgebra(sig: FunctorSig, t, name: str = "") -> Coalgebra:
     """The machine of subterms of a single term, each unfolding in place."""
     states = []
     seen = set()
-
-    def walk(s):
+    todo = [t]  # preorder, children left to right
+    while todo:
+        s = todo.pop()
         if s in seen:
-            return
+            continue
         seen.add(s)
         states.append(s)
         if not is_bottom(s):
-            for child in s.slots:
-                walk(child)
-
-    walk(t)
+            todo.extend(reversed(s.slots))
     return Coalgebra(sig, tuple(states), {s: s for s in states}, name or "termfuel")
 
 

@@ -212,27 +212,34 @@ class _Parser:
         self.fail(f"got {t.value!r}", expected=("label",))
 
     def term(self):
-        t = self.peek()
-        if t.kind == "BOTTOM":
-            self.next()
-            return BOTTOM
-        if self.at_sym("("):
-            self.next()
-            label = self.atom()
-            slots = []
-            while not self.at_sym(")"):
-                slots.append(self.term())
-            self.next()
-            return Node(label, tuple(slots))
-        if self.at_sym("["):
-            self.next()
-            items = self.listed(self.atom)
-            self.expect("SYM", "]")
-            out = BOTTOM
-            for x in reversed(items):
-                out = Node(x, (out,))
-            return out
-        self.fail(f"got {t.value!r}", expected=("#b", "(", "["))
+        """One term.  Open nodes wait on an explicit stack of (label, slots),
+        so nesting depth is not bounded by Python's recursion limit."""
+        stack = []
+        while True:
+            t = self.peek()
+            if self.at_sym("("):
+                self.next()
+                stack.append((self.atom(), []))
+                continue
+            if stack and self.at_sym(")"):
+                self.next()
+                label, slots = stack.pop()
+                out = Node(label, tuple(slots))
+            elif t.kind == "BOTTOM":
+                self.next()
+                out = BOTTOM
+            elif self.at_sym("["):
+                self.next()
+                items = self.listed(self.atom)
+                self.expect("SYM", "]")
+                out = BOTTOM
+                for x in reversed(items):
+                    out = Node(x, (out,))
+            else:
+                self.fail(f"got {t.value!r}", expected=("#b", "(", "["))
+            if not stack:
+                return out
+            stack[-1][1].append(out)
 
     def script(self) -> Script:
         decls = []
@@ -406,9 +413,9 @@ def _machine(name, sig, pairs):
 
 def _solve(name, c, a, b, budget):
     """A measure's solve report and its first lawful table as a measuring."""
-    result = oracle.solve_measurings(c, a, b, budget)
+    result = oracle.solve_measurings(c, a, b, budget, keep=1)
     report = kernel.Report.of(
-        "solve", name, (f"{len(result.solutions)} lawful tables",),
+        "solve", name, (f"{result.count} lawful tables",),
         failed=not result.solutions, ran_out=not result.exhaustive)
     table = result.solutions[0] if result.solutions else {}
     return report, measuring.table_measuring(c, a, b, table, name)
@@ -647,7 +654,8 @@ def elaborate(script: Script) -> dict:
                     env[d.name] = ("monoid", kernel.finite_monoid(
                         d.name, elems, _OPS[opname], unit))
             elif isinstance(d, HomDecl):
-                env[d.name] = ("hom", kernel.hom(ref(d.src), ref(d.dst), dict(d.pairs)))
+                env[d.name] = ("hom", kernel.hom(ref(d.src), ref(d.dst), dict(d.pairs),
+                                                name=d.name))
             elif isinstance(d, NatDecl):
                 reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
                 env[d.name] = ("nat", kernel.nat_transform(
@@ -699,14 +707,14 @@ def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
     if d.kind in ("count", "unique"):
         c, a, b = env[refs[0]][1], env[refs[1]][1], env[refs[2]][1]
         expected = ints[0] if d.kind == "count" else 1
-        result = oracle.solve_measurings(c, a, b, budget)
+        result = oracle.solve_measurings(c, a, b, budget, keep=2)
         witnesses = ()
-        if result.exhaustive and len(result.solutions) != expected:
+        if result.exhaustive and result.count != expected:
             tables = tuple(
                 str(sorted((carriers.render_value(k[0]), carriers.render_value(k[1]),
                             carriers.render_value(v)) for k, v in table.items()))
-                for table in result.solutions[:2])
-            witnesses = (f"{len(result.solutions)} lawful tables, expected {expected}",) + tables
+                for table in result.solutions)
+            witnesses = (f"{result.count} lawful tables, expected {expected}",) + tables
         return kernel.Report.of(d.kind, " ".join(refs), witnesses,
                                 ran_out=not result.exhaustive)
     raise ValueError(f"unknown check kind {d.kind!r}")
@@ -739,10 +747,15 @@ def demo_prune(shape_text: str, tree_text: str) -> str:
     tree_term = parse_term(tree_text)
 
     def well_formed(t) -> bool:
-        if kernel.is_bottom(t):
-            return True
-        return (isinstance(t, Node) and isinstance(t.label, int)
-                and len(t.slots) == 2 and all(well_formed(s) for s in t.slots))
+        todo = [t]
+        while todo:
+            t = todo.pop()
+            if kernel.is_bottom(t):
+                continue
+            if not (isinstance(t, Node) and isinstance(t.label, int) and len(t.slots) == 2):
+                return False
+            todo.extend(t.slots)
+        return True
 
     for name, t in (("shape", shape_term), ("tree", tree_term)):
         if not well_formed(t):

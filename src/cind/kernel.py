@@ -187,11 +187,17 @@ class MonoidHom:
     target: Monoid
     mapping: Any
     inverse: Any = None
+    name: str = ""
 
     def apply(self, x):
         if callable(self.mapping):
             return self.mapping(x)
-        return self.mapping[x]
+        try:
+            return self.mapping[x]
+        except KeyError:
+            named = f"{self.name} : " if self.name else ""
+            raise ValueError(f"hom {named}{self.source.name} -> {self.target.name} "
+                             f"does not map the label {x!r}") from None
 
     def preimage(self, y):
         """Unique source label mapping to y, or None when y is outside the image."""
@@ -215,7 +221,7 @@ class MonoidHom:
         return len(set(vals)) == len(vals)
 
 
-def hom(source: Monoid, target: Monoid, mapping, inverse=None) -> MonoidHom:
+def hom(source: Monoid, target: Monoid, mapping, inverse=None, name="") -> MonoidHom:
     if not callable(mapping):
         mapping = dict(mapping)
         missing = set(source.elements or ()) - set(mapping)
@@ -226,7 +232,7 @@ def hom(source: Monoid, target: Monoid, mapping, inverse=None) -> MonoidHom:
                 raise ValueError(f"hom maps {x!r} -> {y!r}, but {x!r} is not in {source.name}")
             if target.finite and y not in target.elements:
                 raise ValueError(f"hom maps {x!r} -> {y!r}, but {y!r} is not in {target.name}")
-    return MonoidHom(source, target, mapping, inverse)
+    return MonoidHom(source, target, mapping, inverse, name)
 
 
 def identity_hom(m: Monoid) -> MonoidHom:

@@ -59,19 +59,6 @@ def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") 
     return Measuring(c, a, b, lookup, name)
 
 
-def _memoized(fn):
-    cache = {}
-
-    def wrapped(c, a):
-        key = (c, a)
-        out = cache.get(key, cache)  # the cache itself marks a miss
-        if out is cache:
-            out = cache[key] = fn(c, a)
-        return out
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # the defining law
 
@@ -144,17 +131,23 @@ def canonical_term_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> M
     if c.sig != a.sig or a.sig != b.sig:
         raise ValueError("signature mismatch")
     op = a.sig.monoid.op
+    memo = {}
 
     def ev(state, t):
-        if is_bottom(t):
-            return b.alpha(BOTTOM)
-        chi = c.chi[state]
-        if is_bottom(chi):
-            return b.alpha(BOTTOM)
-        return b.alpha(Node(op(chi.label, t.label),
-                            tuple(ev(cs, ts) for cs, ts in zip(chi.slots, t.slots))))
+        """Memoized, inner calls included, so a law check over a term
+        carrier evaluates each (state, subterm) pair once."""
+        out = memo.get((state, t), memo)  # the memo itself marks a miss
+        if out is memo:
+            chi = BOTTOM if is_bottom(t) else c.chi[state]
+            if is_bottom(chi):
+                out = b.alpha(BOTTOM)
+            else:
+                out = b.alpha(Node(op(chi.label, t.label),
+                                   tuple(ev(cs, ts) for cs, ts in zip(chi.slots, t.slots))))
+            memo[state, t] = out
+        return out
 
-    return Measuring(c, a, b, rule=_memoized(ev), name=name or "prune")
+    return Measuring(c, a, b, rule=ev, name=name or "prune")
 
 
 def canonical_const_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> Measuring:

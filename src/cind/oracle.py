@@ -1,10 +1,11 @@
-"""Exhaustive checkers: a propagation/backtracking solver that enumerates
-every lawful measuring table between finite carriers, a raw filter oracle it
-is cross-validated against, machine morphism enumeration, and the claim-level
-checkers (unique-measuring initiality, preinitiality, composition respect,
-adjunction bijections, initiality preservation).  Algebra morphisms are
-enumerated as the measurings by the one-state unit machine.  Each checker
-returns a ``kernel.Report`` that states its coverage.
+"""Exhaustive checkers: a propagation/backtracking solver that counts the
+lawful measuring tables between finite carriers and keeps the first few (or
+all), a raw filter oracle it is cross-validated against, machine morphism
+enumeration, and the claim-level checkers (unique-measuring initiality,
+preinitiality, composition respect, adjunction bijections, initiality
+preservation).  Algebra morphisms are enumerated as the measurings by the
+one-state unit machine.  Each checker returns a ``kernel.Report`` that states
+its coverage.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """All lawful tables found; exhaustive=False when the budget ran out."""
+    """The lawful tables kept, in the raw oracle's order; ``count`` of them
+    in all.  exhaustive=False when the budget ran out, and then ``count`` is
+    only the number of tables the search reached."""
 
     solutions: tuple
     exhaustive: bool
     steps: int
+    count: int
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +114,21 @@ class _Structure:
                 self.by_dep[d].append(ci)
         self.initial = [ci for ci, (_, deps, _) in enumerate(constraints) if not deps]
 
-    def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET,
+              keep: int | None = None) -> SolveResult:
         """Propagate the constraints into b, branching in cell order over b's
         elements on the cells they leave free.  Cells hold indices into
         ``b.elements``.  The right-hand side of a constraint is the code of its
         value, code(bottom) = 0 and code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i)
-        with n = |B|; b's structure map is read once per code."""
+        with n = |B|; b's structure map is read once per code.
+
+        The first ``keep`` tables (all when None) are kept in the order of
+        ``raw_lawful_tables``.  When there are more, the search stops and
+        counts them instead: the cells the first propagation leaves free
+        split into components that share no constraint, each component's
+        leaves are counted alone, and the count is their product.  The
+        budget bounds propagation steps, branches and kept tables together.
+        """
         if b.elements is None:
             raise ValueError("solver needs a finite target carrier")
         if b.sig != self.algebra.sig:
@@ -129,6 +142,7 @@ class _Structure:
         images = {}  # code -> index of its image in b
         assign = [None] * self.ncells
         steps = 0
+        limit = budget  # the budget less the branches and kept tables so far
         solutions = []
         keys = [(s, e) for s in self.states for e in self.elems]
 
@@ -156,7 +170,7 @@ class _Structure:
                     code = code * n + x
                 else:  # every slot is assigned
                     steps += 1
-                    if steps > budget:
+                    if steps > limit:
                         raise BudgetExceeded
                     code += 1
                     val = images.get(code)
@@ -171,23 +185,30 @@ class _Structure:
                         return False
             return True
 
+        def charge():
+            nonlocal limit
+            limit -= 1
+            if steps > limit:
+                raise BudgetExceeded
+
         def undo(trail):
             for cell in trail:
                 assign[cell] = None
 
-        # Depth-first search with an explicit stack of (cell, trail): the
-        # branching cell holds the value being tried (-1 before the first),
-        # and trail the cells propagation assigned before it branched.
-        stack = []
-        queue = list(self.initial)
-        try:
+        def leaves(queue):
+            """Depth-first search over the cells that hold None, yielding at
+            each consistent full assignment.  An explicit stack of (cell,
+            trail): the branching cell holds the value being tried (-1 before
+            the first), and trail the cells propagation assigned before it
+            branched.  Everything it assigns is undone when it returns."""
+            stack = []
             while True:
                 trail = []
                 if propagate(queue, trail):
                     try:
                         cell = assign.index(None)
                     except ValueError:
-                        solutions.append(dict(zip(keys, map(targets.__getitem__, assign))))
+                        yield
                     else:
                         stack.append((cell, trail))
                         assign[cell] = -1
@@ -196,6 +217,7 @@ class _Structure:
                 while stack:  # try the next value of the innermost open cell
                     cell, trail = stack[-1]
                     if assign[cell] + 1 < n:
+                        charge()
                         assign[cell] += 1
                         queue = list(by_dep[cell])
                         break
@@ -203,17 +225,70 @@ class _Structure:
                     undo(trail)
                     stack.pop()
                 else:
-                    return SolveResult(tuple(solutions), True, steps)
+                    return
+
+        more = False
+        try:
+            for _ in leaves(list(self.initial)):
+                if keep is not None and len(solutions) >= keep:
+                    more = True
+                    break
+                charge()
+                solutions.append(dict(zip(keys, map(targets.__getitem__, assign))))
+            if not more:
+                return SolveResult(tuple(solutions), True, steps, len(solutions))
+            assign[:] = [None] * self.ncells
+            propagate(list(self.initial), [])
+            free = [cell for cell, x in enumerate(assign) if x is None]
+            for cell in free:  # a search over one component sees the rest as set
+                assign[cell] = -1
+            count = 1
+            for cells in self._components(free):
+                if len(cells) == 1 and not by_dep[cells[0]]:
+                    count *= n  # a cell no constraint touches
+                    continue
+                for cell in cells:
+                    assign[cell] = None
+                count *= sum(1 for _ in leaves([]))
+                for cell in cells:
+                    assign[cell] = -1
+            return SolveResult(tuple(solutions), True, steps, count)
         except BudgetExceeded:
-            return SolveResult(tuple(solutions), False, steps)
+            return SolveResult(tuple(solutions), False, steps,
+                               len(solutions) + more)
+
+    def _components(self, free) -> list:
+        """The free cells (in cell order) grouped into connected components
+        by the constraints that touch them.  Propagation has fired every
+        constraint whose deps are all assigned, so each constraint that
+        touches a free cell is in ``by_dep`` of a free cell."""
+        parent = {cell: cell for cell in free}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for cell in free:
+            for ci in self.by_dep[cell]:
+                lhs, deps, _ = self.constraints[ci]
+                for other in (lhs, *deps):
+                    if other in parent:
+                        parent[find(other)] = find(cell)
+        groups = {}
+        for cell in free:
+            groups.setdefault(find(cell), []).append(cell)
+        return list(groups.values())
 
 
 def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,
-                     budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Enumerate every map (state, element) -> target element satisfying the
-    measuring law, by constraint propagation with backtracking on the cells
-    the law leaves free."""
-    return _Structure(c, a).solve(b, budget)
+                     budget: int = DEFAULT_BUDGET, keep: int | None = None) -> SolveResult:
+    """Count the maps (state, element) -> target element satisfying the
+    measuring law, keeping the first ``keep`` of them (all when None), by
+    constraint propagation with backtracking on the cells the law leaves
+    free."""
+    return _Structure(c, a).solve(b, budget, keep)
 
 
 def solutions_as_measurings(c, a, b, result: SolveResult) -> list:
@@ -251,12 +326,13 @@ def raw_lawful_tables(c: Coalgebra, a: Algebra, b: Algebra,
 # morphism enumeration
 
 
-def _algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET):
-    """(morphisms a -> b as dicts, exhaustive): the measurings by the unit
-    machine, with its one state stripped from the table keys."""
-    result = solve_measurings(unit_coalgebra(a.sig), a, b, budget)
+def _algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
+                       keep: int | None = None):
+    """(morphisms a -> b as dicts, the solve's result): the measurings by the
+    unit machine, with its one state stripped from the table keys."""
+    result = solve_measurings(unit_coalgebra(a.sig), a, b, budget, keep)
     morphs = tuple({x: t[STAR, x] for x in a.elements} for t in result.solutions)
-    return morphs, result.exhaustive
+    return morphs, result
 
 
 def coalgebra_morphisms(c: Coalgebra, d: Coalgebra, cap: int = 2 ** 20) -> tuple:
@@ -308,12 +384,12 @@ def check_c_initial(c: Coalgebra, a: Algebra, targets,
     witnesses = []
     ran_out = False
     for i, b in enumerate(targets):
-        result = structure.solve(b, budget)
+        result = structure.solve(b, budget, keep=1)
         if not result.exhaustive:
             ran_out = True
             witnesses.append(f"target {i} ({b.name}): budget exceeded")
-        elif len(result.solutions) != 1:
-            witnesses.append(f"target {i} ({b.name}): {len(result.solutions)} measurings")
+        elif result.count != 1:
+            witnesses.append(f"target {i} ({b.name}): {result.count} measurings")
     return Report.of("c-initial", f"{c.name} (x) {a.name}", witnesses,
                      ran_out=ran_out, checked=len(targets),
                      sampled=f"{len(targets)} targets")
@@ -324,15 +400,16 @@ def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
     """At most one morphism out of p, and at most one lawful measuring per
     fuel machine in the given family."""
     witnesses = []
-    morphs, exhaustive = _algebra_morphisms(p, b, budget)
-    if len(morphs) > 1:
-        witnesses.append(f"{len(morphs)} morphisms {p.name} -> {b.name}")
-        witnesses.extend(str(sorted(m.items(), key=str)) for m in morphs[:2])
+    morphs, result = _algebra_morphisms(p, b, budget, keep=2)
+    exhaustive = result.exhaustive
+    if result.count > 1:
+        witnesses.append(f"{result.count} morphisms {p.name} -> {b.name}")
+        witnesses.extend(str(sorted(m.items(), key=str)) for m in morphs)
     for c in coalgebras:
-        result = solve_measurings(c, p, b, budget)
+        result = solve_measurings(c, p, b, budget, keep=1)
         exhaustive = exhaustive and result.exhaustive
-        if len(result.solutions) > 1:
-            witnesses.append(f"{len(result.solutions)} measurings by {c.name}")
+        if result.count > 1:
+            witnesses.append(f"{result.count} measurings by {c.name}")
     return Report.of("preinitial-subterminal", f"{p.name} -> {b.name}",
                      witnesses, ran_out=not exhaustive)
 
@@ -405,9 +482,9 @@ def check_adjunction(mu: NatTransform, side: str, instances,
         if side == "bang":
             a, b = inst
             p = pushout_algebra(mu.hom, a)
-            fs, f_done = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
-            gs, g_done = _algebra_morphisms(p.algebra, b, budget)
-            if not (f_done and g_done):
+            fs, f_result = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
+            gs, g_result = _algebra_morphisms(p.algebra, b, budget)
+            if not (f_result.exhaustive and g_result.exhaustive):
                 ran_out = True
                 witnesses.append((tag, "budget exceeded"))
                 continue

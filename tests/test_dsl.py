@@ -298,6 +298,24 @@ def test_cli_demo_prune_clauses():
     assert code == 0 and text.strip() == shape
 
 
+def _deep_shape(depth):
+    return "(1 " * depth + "#b" + " #b)" * depth
+
+
+def test_deep_terms_parse_without_recursion():
+    t = dsl.parse_term(_deep_shape(5000))
+    for _ in range(5000):
+        assert t.label == 1 and t.slots[1] == BOTTOM
+        t = t.slots[0]
+    assert t == BOTTOM
+    assert dsl.parse_term("(a (b) [0, 1] #b)") == node("a", node("b"), node(0, node(1, BOTTOM)), BOTTOM)
+
+
+def test_cli_demo_prune_of_a_deep_shape():
+    code, text = _main(["demo", "prune", "--shape", _deep_shape(1200), "--tree", "(1 #b #b)"])
+    assert code == 0 and text.strip() == "(2 #b #b)"
+
+
 def test_cli_demo_prune_rejects_bad_terms():
     code, _ = _main(["demo", "prune", "--shape", "(0 #b", "--tree", "#b"])
     assert code == 2
@@ -503,6 +521,42 @@ monoid B = table {{0, 1}} max 0
 """)
     assert code == 2
     assert f"3:1: {message}" in capsys.readouterr().err
+
+
+def test_cli_partial_hom_names_itself_and_the_label(tmp_path, capsys):
+    # a table hom out of builtin nat maps only the labels it lists
+    code, _ = _check_script(tmp_path, """monoid N = builtin nat
+functor GN = shape(N, 1)
+hom h : N -> N = [0 -> 0]
+nat mu : GN -> GN = (hom h, reindex [1])
+coalg M = machine(GN, {a -> (5 a)})
+coalg Q = pushforward(mu, M)
+""")
+    assert code == 2
+    assert "6:1: hom h : NatPlus -> NatPlus does not map the label 5" in capsys.readouterr().err
+
+
+def test_cli_count_of_many_free_cells_builds_no_tables(tmp_path):
+    # 12 free cells: 3^12 lawful tables, counted as a product, none built
+    import tracemalloc
+    script = """monoid M = table {0, 1} max 0
+functor K = const(M)
+alg A = constalg(K, {a0, a1, u0, u1, u2, u3, u4, u5}, {0 -> a0, 1 -> a1})
+coalg C = machine(K, {c0 -> 0, c1 -> 1})
+alg B = constalg(K, {b0, b1, b2}, {0 -> b0, 1 -> b1})
+"""
+    tracemalloc.start()
+    try:
+        code, text = _check_script(tmp_path, script + "check count C A B 531441\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, text
+    assert "[holds] count" in text
+    assert peak < 2 * 2 ** 20
+    code, text = _check_script(tmp_path, script + "check unique C A B\n")
+    assert code == 1
+    assert "531441 lawful tables, expected 1" in text
 
 
 @pytest.mark.parametrize("decl,message", [

@@ -95,6 +95,25 @@ def test_prune_overlap():
     assert phi.eval(shape, subject) == node(5, BOTTOM, BOTTOM)
 
 
+def test_prune_evaluates_each_state_and_subterm_once():
+    # perfect trees share their subterms: depth 16 has 17 distinct subterms
+    # but 2^17 - 1 paths, so only the memo on inner calls keeps this small
+    import dataclasses
+    sig = shape_sig(NAT_PLUS, 2)
+    trees = initial_term_algebra(sig)
+    perfect = BOTTOM
+    for _ in range(16):
+        perfect = node(1, perfect, perfect)
+    calls = []
+    counting = dataclasses.replace(trees, alpha=lambda v: calls.append(v) or trees.alpha(v))
+    phi = canonical_term_measuring(term_as_coalgebra(sig, perfect), trees, counting)
+    out = phi.eval(perfect, perfect)
+    assert out.label == 2 and out.slots[0] is out.slots[1]
+    assert len(calls) == 17
+    phi.eval(perfect, perfect)
+    assert len(calls) == 17
+
+
 def test_eval_bottom_goes_to_bottom_image():
     l2 = term_algebra_bounded(G1, 2)
     zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 2), l2, l2)

@@ -10,7 +10,7 @@ from cind.carriers import (coalgebra, finite_algebra, initial_term_algebra,
                            term_unfold_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
                          const_sig, identity_hom, identity_nat, is_bottom,
-                         nat_transform, shape_sig, unit_hom)
+                         nat_transform, node, shape_sig, unit_hom)
 from cind.measuring import Measuring, canonical_term_measuring, check_law
 from cind.oracle import (check_adjunction, check_c_initial,
                          check_preinitial_subterminal,
@@ -187,6 +187,96 @@ def test_unique_on_dual_lists_does_the_same_propagation_work():
     assert result.exhaustive
     assert len(result.solutions) == 1
     assert result.steps == 7937
+
+
+def _cross_validation_instances(seed, count):
+    """Seeded (c, a, b) triples small enough for the raw oracle: const
+    sources with uninterpreted elements, and shape signatures of arity 0-2."""
+    rng = random.Random(seed)
+    shapes = [shape_sig(m, arity) for m in (TRIV, BOOL_OR) for arity in (0, 1, 2)]
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            m = rng.choice([BOOL_OR, TRUTH_AND])
+            sig = const_sig(m)
+            interpret = {x: f"a{rng.randrange(2)}" for x in m.elements}
+            elems = sorted(set(interpret.values())) + [f"u{i}" for i in range(rng.randint(0, 3))]
+            a = finite_algebra(sig, elems, interpret.__getitem__, "A")
+        else:
+            sig = rng.choice(shapes)
+            a = random_algebra(sig, rng.randint(1, 3), rng)
+        c = random_coalgebra(sig, rng.randint(1, 3), rng)
+        b = random_algebra(sig, rng.randint(1, 3), rng)
+        if len(b.elements) ** (len(c.states) * len(a.elements)) <= 2 ** 12:
+            out.append((c, a, b))
+    return out
+
+
+def test_solver_keeps_the_raw_oracles_tables_in_its_order():
+    split = 0
+    for c, a, b in _cross_validation_instances(31, 150):
+        raw = raw_lawful_tables(c, a, b)
+        result = solve_measurings(c, a, b)
+        assert result.exhaustive
+        assert result.solutions == raw
+        assert result.count == len(raw)
+        for keep in (1, 2):
+            result = solve_measurings(c, a, b, keep=keep)
+            assert result.exhaustive
+            assert result.solutions == raw[:keep]
+            assert result.count == len(raw)
+            split += len(raw) > keep
+    assert split > 40  # the count by components ran on many of them
+
+
+def _const_free_cells(free):
+    """Two fuel states over BoolOr constants and ``free`` uninterpreted
+    elements into a 3-element target: 3^(2 free) lawful tables."""
+    sig = const_sig(BOOL_OR)
+    elems = ("a0", "a1") + tuple(f"u{i}" for i in range(free))
+    a = finite_algebra(sig, elems, {0: "a0", 1: "a1"}.__getitem__, "A")
+    c = coalgebra(sig, ("c0", "c1"), {"c0": 0, "c1": 1})
+    b = finite_algebra(sig, ("b0", "b1", "b2"), {0: "b0", 1: "b1"}.__getitem__, "B")
+    return c, a, b
+
+
+def test_count_is_a_product_over_components():
+    # six free cells, none touched by a constraint: each is a component of
+    # |B| values
+    c, a, b = _const_free_cells(3)
+    raw = raw_lawful_tables(c, a, b)
+    result = solve_measurings(c, a, b, keep=2)
+    assert result.exhaustive
+    assert result.count == len(raw) == 3 ** 6
+    assert result.solutions == raw[:2]
+
+
+def test_count_multiplies_components_that_need_search():
+    # under a looping state, the 2-cycles p <-> q and s <-> t are components
+    # of two cells each, and u, whose successor is r, one of one cell; the
+    # target's successor swaps 1 and 2, so they count 3, 3 and 1
+    f1 = shape_sig(TRIV, 1)
+    succ = {"r": "r", "p": "q", "q": "p", "s": "t", "t": "s", "u": "r"}
+    a = finite_algebra(f1, tuple(succ), lambda v: "r" if is_bottom(v) else succ[v.slots[0]], "A")
+    c = coalgebra(f1, ("loop",), {"loop": node("e", "loop")})
+    b = finite_algebra(f1, (0, 1, 2), lambda v: 0 if is_bottom(v) else (0, 2, 1)[v.slots[0]], "B")
+    raw = raw_lawful_tables(c, a, b)
+    result = solve_measurings(c, a, b, keep=2)
+    assert result.exhaustive
+    assert result.count == len(raw) == 3 * 3 * 1
+    assert result.solutions == raw[:2]
+
+
+def test_budget_bounds_kept_tables_and_branches():
+    c, a, b = _const_free_cells(6)
+    result = solve_measurings(c, a, b, budget=10)
+    assert not result.exhaustive
+    assert len(result.solutions) <= 10
+    assert result.steps <= 10
+    counted = solve_measurings(c, a, b, keep=2)
+    assert counted.exhaustive
+    assert counted.count == 3 ** 12
+    assert len(counted.solutions) == 2
 
 
 def test_bang_adjunction_with_non_injective_hom():
