@@ -124,9 +124,9 @@ class _Structure:
 
         The first ``keep`` tables (all when None) are kept in the order of
         ``raw_lawful_tables``.  When there are more, the search stops and
-        counts them instead: the cells the first propagation leaves free
-        split into components that share no constraint, each component's
-        leaves are counted alone, and the count is their product.  The
+        counts them instead, building no tables: after the first propagation
+        each free cell that no constraint touches counts |B|, and the leaves
+        over the other free cells are counted by the same search.  The
         budget bounds propagation steps, branches and kept tables together.
         """
         if b.elements is None:
@@ -239,47 +239,19 @@ class _Structure:
                 return SolveResult(tuple(solutions), True, steps, len(solutions))
             assign[:] = [None] * self.ncells
             propagate(list(self.initial), [])
-            free = [cell for cell, x in enumerate(assign) if x is None]
-            for cell in free:  # a search over one component sees the rest as set
-                assign[cell] = -1
+            # each constraint with a free slot is in by_dep of that slot
+            touched = {constraints[ci][0] for cell, x in enumerate(assign)
+                       if x is None for ci in by_dep[cell]}
             count = 1
-            for cells in self._components(free):
-                if len(cells) == 1 and not by_dep[cells[0]]:
-                    count *= n  # a cell no constraint touches
-                    continue
-                for cell in cells:
-                    assign[cell] = None
-                count *= sum(1 for _ in leaves([]))
-                for cell in cells:
+            for cell, x in enumerate(assign):
+                if x is None and not by_dep[cell] and cell not in touched:
+                    count *= n  # no constraint touches it: set it aside
                     assign[cell] = -1
+            count *= sum(1 for _ in leaves([]))
             return SolveResult(tuple(solutions), True, steps, count)
         except BudgetExceeded:
             return SolveResult(tuple(solutions), False, steps,
                                len(solutions) + more)
-
-    def _components(self, free) -> list:
-        """The free cells (in cell order) grouped into connected components
-        by the constraints that touch them.  Propagation has fired every
-        constraint whose deps are all assigned, so each constraint that
-        touches a free cell is in ``by_dep`` of a free cell."""
-        parent = {cell: cell for cell in free}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for cell in free:
-            for ci in self.by_dep[cell]:
-                lhs, deps, _ = self.constraints[ci]
-                for other in (lhs, *deps):
-                    if other in parent:
-                        parent[find(other)] = find(cell)
-        groups = {}
-        for cell in free:
-            groups.setdefault(find(cell), []).append(cell)
-        return list(groups.values())
 
 
 def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,

@@ -226,7 +226,7 @@ def test_solver_keeps_the_raw_oracles_tables_in_its_order():
             assert result.solutions == raw[:keep]
             assert result.count == len(raw)
             split += len(raw) > keep
-    assert split > 40  # the count by components ran on many of them
+    assert split > 40  # the count past the kept tables ran on many of them
 
 
 def _const_free_cells(free):
@@ -240,9 +240,9 @@ def _const_free_cells(free):
     return c, a, b
 
 
-def test_count_is_a_product_over_components():
-    # six free cells, none touched by a constraint: each is a component of
-    # |B| values
+def test_untouched_free_cells_count_the_target_size_each():
+    # six free cells, none touched by a constraint: each counts |B| with no
+    # search
     c, a, b = _const_free_cells(3)
     raw = raw_lawful_tables(c, a, b)
     result = solve_measurings(c, a, b, keep=2)
@@ -251,10 +251,11 @@ def test_count_is_a_product_over_components():
     assert result.solutions == raw[:2]
 
 
-def test_count_multiplies_components_that_need_search():
-    # under a looping state, the 2-cycles p <-> q and s <-> t are components
-    # of two cells each, and u, whose successor is r, one of one cell; the
-    # target's successor swaps 1 and 2, so they count 3, 3 and 1
+def test_count_searches_free_cells_that_constraints_touch():
+    # under a looping state, the cells of p <-> q, s <-> t and u (whose
+    # successor is r) stay free after the first propagation, and constraints
+    # touch each; the target's successor swaps 1 and 2, so each 2-cycle has
+    # 3 lawful values and u one
     f1 = shape_sig(TRIV, 1)
     succ = {"r": "r", "p": "q", "q": "p", "s": "t", "t": "s", "u": "r"}
     a = finite_algebra(f1, tuple(succ), lambda v: "r" if is_bottom(v) else succ[v.slots[0]], "A")
@@ -265,6 +266,22 @@ def test_count_multiplies_components_that_need_search():
     assert result.exhaustive
     assert result.count == len(raw) == 3 * 3 * 1
     assert result.solutions == raw[:2]
+
+
+def test_count_searches_cells_that_a_constraint_defines():
+    # no constraint reads the cells of the root state, but its cells at p and
+    # q are defined from the free cells of the loop's 2-cycle, so they are
+    # not set aside at |B| each
+    f1 = shape_sig(TRIV, 1)
+    succ = {"r": "r", "p": "q", "q": "p"}
+    a = finite_algebra(f1, tuple(succ), lambda v: "r" if is_bottom(v) else succ[v.slots[0]], "A")
+    c = coalgebra(f1, ("root", "loop"), {"root": node("e", "loop"), "loop": node("e", "loop")})
+    b = finite_algebra(f1, (0, 1, 2), lambda v: 0 if is_bottom(v) else (0, 2, 1)[v.slots[0]], "B")
+    raw = raw_lawful_tables(c, a, b)
+    result = solve_measurings(c, a, b, keep=1)
+    assert result.exhaustive
+    assert result.count == len(raw) == 3
+    assert result.solutions == raw[:1]
 
 
 def test_budget_bounds_kept_tables_and_branches():
