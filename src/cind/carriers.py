@@ -180,8 +180,8 @@ class Coalgebra:
 
 def coalgebra(sig: FunctorSig, states, chi: dict, name: str = "") -> Coalgebra:
     """A machine from its unfolding map, checked: every unfolding is a value
-    over the signature whose label lies in a finite label monoid and, for
-    shapes, whose slots name known states."""
+    over the signature (a bare label for const, bottom or a node whose slots
+    name known states for a shape) whose label lies in a finite label monoid."""
     states = tuple(states)
     known = set(states)
     labels = sig.monoid.elements
@@ -195,7 +195,9 @@ def coalgebra(sig: FunctorSig, states, chi: dict, name: str = "") -> Coalgebra:
             if len(v.slots) != sig.arity:
                 raise ValueError(f"state {c!r} unfolds with wrong arity")
             if any(s not in known for s in v.slots):
-                raise ValueError(f"state {c!r} unfolds to unknown states")
+                raise ValueError(f"state {c!r} unfolds to {v!r}, whose slots are not all states")
+        elif is_bottom(v) or isinstance(v, Node):
+            raise ValueError(f"state {c!r} unfolds to {v!r}, not a label")
         label = v.label if sig.kind == SHAPE else v
         if labels is not None and label not in labels:
             raise ValueError(f"state {c!r} unfolds with label {label!r} outside {sig.monoid.name}")

@@ -1,22 +1,22 @@
 """Script frontend: a small declaration language for monoids, signatures,
 morphisms, carriers, measurings, and checks.
 
-One-pass recursive descent over a fixed token set; parse errors carry
+One-pass recursive descent over one token table; parse errors carry
 line:col and the expected-token set.  ``functor``, ``alg``, ``coalg`` and
 ``measure`` declarations share one call form, ``KEYWORD NAME = head(arg,
 ...)``, and one table, ``_CONSTRUCTORS``, which gives each (keyword, head)
 its argument kinds and its builder.  Parsing also resolves references and
 checks every call against its row (head, argument count, literal and
-reference kinds), so a slip is a parse error naming the usage.  Elaboration
-then calls each row's builder, and ``run`` solves the measures and executes
-the declared checks.
+reference kinds), so a slip is a parse error naming the usage.  ``run``
+then walks the declarations once, in script order, calling each row's
+builder, solving the measures and executing the checks.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import carriers, kernel, measuring, oracle, transport
@@ -37,9 +37,15 @@ class DslError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
-_INT = re.compile(r"\d+")
-_SYMS = ("->", "=", ":", ",", "{", "}", "(", ")", "[", "]")
+# one alternative per token kind, tried in order; blanks and comments are
+# unnamed and skipped, and the catch-all BAD matches any other character
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|[ \t\r]+"
+    r"|(?P<BOTTOM>#b(?!\w))|#[^\n]*"
+    r"|(?P<SYM>->|[=:,{}()\[\]])"
+    r"|(?P<INT>\d+)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*)"
+    r"|(?P<BAD>.)")
 
 
 @dataclass(frozen=True)
@@ -52,56 +58,17 @@ class Token:
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            nxt = text[i + 1:i + 2]
-            after = text[i + 2:i + 3]
-            if nxt == "b" and not (after.isalnum() or after == "_"):
-                tokens.append(Token("BOTTOM", "#b", line, col))
-                i += 2
-                col += 2
-                continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two == "->":
-            tokens.append(Token("SYM", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "=:,{}()[]":
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("INT", int(m.group()), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(Token("NAME", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+    line, start = 1, 0  # start: offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+        elif kind == "BAD":
+            raise DslError(f"unexpected character {m.group()!r}", line, col)
+        elif kind is not None:
+            value = int(m.group()) if kind == "INT" else m.group()
+            tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", None, line, len(text) - start + 1))
     return tokens
 
 
@@ -157,7 +124,7 @@ class CheckDecl(Decl):
 
 
 # call arguments: ("ref", name) | ("int", k) | ("set", atoms) | ("map", pairs),
-# where a map pairs an atom with an atom, bottom, or a node over atoms
+# where a map pairs an atom with a term whose leaves may be atoms
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +179,9 @@ class _Parser:
         self.fail(f"got {t.value!r}", expected=("label",))
 
     def term(self):
-        """One term.  Open nodes wait on an explicit stack of (label, slots),
-        so nesting depth is not bounded by Python's recursion limit."""
+        """One term: bottom, a bare label or state name, a node or list sugar.
+        Open nodes wait on an explicit stack of (label, slots), so nesting
+        depth is not bounded by Python's recursion limit."""
         stack = []
         while True:
             t = self.peek()
@@ -225,6 +193,8 @@ class _Parser:
                 self.next()
                 label, slots = stack.pop()
                 out = Node(label, tuple(slots))
+            elif t.kind in ("NAME", "INT"):
+                out = self.next().value
             elif t.kind == "BOTTOM":
                 self.next()
                 out = BOTTOM
@@ -236,7 +206,7 @@ class _Parser:
                 for x in reversed(items):
                     out = Node(x, (out,))
             else:
-                self.fail(f"got {t.value!r}", expected=("#b", "(", "["))
+                self.fail(f"got {t.value!r}", expected=("#b", "(", "[", "label"))
             if not stack:
                 return out
             stack[-1][1].append(out)
@@ -340,28 +310,12 @@ class _Parser:
         if self.at_sym("{"):
             self.next()
             if self.at_sym("->", ahead=1):
-                arg = ("map", tuple(self.listed(lambda: self.arrow_pair(self.brace_value))))
+                arg = ("map", tuple(self.listed(lambda: self.arrow_pair(self.term))))
             else:
                 arg = ("set", tuple(self.listed(self.atom)))
             self.expect("SYM", "}")
             return arg
         self.fail(f"got {t.value!r}", expected=("argument",))
-
-    def brace_value(self):
-        # one level of unfolding: bottom, a bare label, or a node whose slots
-        # are state names
-        if self.peek().kind == "BOTTOM":
-            self.next()
-            return BOTTOM
-        if self.at_sym("("):
-            self.next()
-            label = self.atom()
-            slots = []
-            while not self.at_sym(")"):
-                slots.append(self.atom())
-            self.next()
-            return Node(label, tuple(slots))
-        return self.atom()
 
     def check_decl(self, pos):
         self.next()
@@ -598,7 +552,7 @@ def print_script(script: Script) -> str:
 
 
 # ---------------------------------------------------------------------------
-# elaboration and execution
+# execution
 
 _OPS = {
     "max": max,
@@ -620,72 +574,49 @@ class ScriptRunError(Exception):
         super().__init__(f"{pos[0]}:{pos[1]}: {message}")
 
 
-def _err(pos, message):
-    return ScriptRunError(message, pos)
-
-
-def _build(d: CallDecl, env, *extra):
-    """Call the declaration's row builder on its arguments, references
-    looked up in env."""
-    build = _CONSTRUCTORS[d.which, d.head][1]
-    return build(d.name, *(env[v][1] if k == "ref" else v for k, v in d.args), *extra)
-
-
-def elaborate(script: Script) -> dict:
-    """Construct the semantic object for every declaration but the measures,
-    which run solves."""
-    env = {}
-
-    def ref(name):
-        return env[name][1]
-
-    for d in script.decls:
-        try:
-            if isinstance(d, MonoidDecl):
-                if d.body[0] == "builtin":
-                    which = d.body[1]
-                    if which not in _BUILTIN_MONOIDS:
-                        raise _err(d.pos, f"unknown builtin monoid {which!r}")
-                    env[d.name] = ("monoid", _BUILTIN_MONOIDS[which])
-                else:
-                    _, elems, opname, unit = d.body
-                    if opname not in _OPS:
-                        raise _err(d.pos, f"unknown table op {opname!r}")
-                    env[d.name] = ("monoid", kernel.finite_monoid(
-                        d.name, elems, _OPS[opname], unit))
-            elif isinstance(d, HomDecl):
-                env[d.name] = ("hom", kernel.hom(ref(d.src), ref(d.dst), dict(d.pairs),
-                                                name=d.name))
-            elif isinstance(d, NatDecl):
-                reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
-                env[d.name] = ("nat", kernel.nat_transform(
-                    ref(d.src), ref(d.dst), ref(d.hom), reindex, name=d.name))
-            elif isinstance(d, CallDecl) and d.which != "measure":
-                env[d.name] = (d.which, _build(d, env))
-        except (ValueError, KeyError) as exc:
-            raise _err(d.pos, str(exc)) from exc
-    return env
+def _monoid(d: MonoidDecl) -> kernel.Monoid:
+    if d.body[0] == "builtin":
+        if d.body[1] not in _BUILTIN_MONOIDS:
+            raise ValueError(f"unknown builtin monoid {d.body[1]!r}")
+        # the builtin's carrier, op and unit under the declared name
+        return replace(_BUILTIN_MONOIDS[d.body[1]], name=d.name)
+    _, elems, opname, unit = d.body
+    if opname not in _OPS:
+        raise ValueError(f"unknown table op {opname!r}")
+    return kernel.finite_monoid(d.name, elems, _OPS[opname], unit)
 
 
 def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
-    """Execute the script's measure and check declarations.
+    """Build each declaration, solve each measure and run each check, in
+    script order.
 
-    Returns (reports, kernel.exit_code(reports)).  A ValueError raised while
-    running a declaration becomes a ScriptRunError at that declaration's
-    position.
+    Returns (reports, kernel.exit_code(reports)).  A ValueError or KeyError
+    raised at a declaration becomes a ScriptRunError at its position.
+    Parsing has checked every reference's kind, so env holds the objects.
     """
-    env = elaborate(script)
-    reports = []
+    env, reports = {}, []
     for d in script.decls:
         try:
-            if isinstance(d, CallDecl) and d.which == "measure":
-                report, phi = _build(d, env, budget)
-                reports.append(report)
-                env[d.name] = ("measure", phi)
-            elif isinstance(d, CheckDecl):
+            if isinstance(d, MonoidDecl):
+                env[d.name] = _monoid(d)
+            elif isinstance(d, HomDecl):
+                env[d.name] = kernel.hom(env[d.src], env[d.dst], dict(d.pairs), name=d.name)
+            elif isinstance(d, NatDecl):
+                reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
+                env[d.name] = kernel.nat_transform(
+                    env[d.src], env[d.dst], env[d.hom], reindex, name=d.name)
+            elif isinstance(d, CallDecl):
+                build = _CONSTRUCTORS[d.which, d.head][1]
+                args = [env[v] if k == "ref" else v for k, v in d.args]
+                if d.which == "measure":
+                    report, env[d.name] = build(d.name, *args, budget)
+                    reports.append(report)
+                else:
+                    env[d.name] = build(d.name, *args)
+            else:
                 reports.append(_run_check(d, env, budget))
-        except ValueError as exc:
-            raise _err(d.pos, str(exc)) from exc
+        except (ValueError, KeyError) as exc:
+            raise ScriptRunError(str(exc), d.pos) from exc
     return reports, kernel.exit_code(reports)
 
 
@@ -694,18 +625,18 @@ def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
     ints = [v for k, v in d.args if k == "int"]
     if d.kind == "law":
         try:
-            return measuring.check_law(env[refs[0]][1], max_witnesses=5)
+            return measuring.check_law(env[refs[0]], max_witnesses=5)
         except ValueError as exc:
             return kernel.Report.of("law", refs[0], (str(exc),))
     if d.kind == "c-initial":
-        c, a = env[refs[0]][1], env[refs[1]][1]
+        c, a = env[refs[0]], env[refs[1]]
         max_size = ints[0] if ints else 2
         per_size = ints[1] if len(ints) > 1 else 5
         targets = oracle.random_algebras(a.sig, range(1, max_size + 1),
                                          per_size, seed=CHECK_SEED)
         return oracle.check_c_initial(c, a, targets, budget)
     if d.kind in ("count", "unique"):
-        c, a, b = env[refs[0]][1], env[refs[1]][1], env[refs[2]][1]
+        c, a, b = env[refs[0]], env[refs[1]], env[refs[2]]
         expected = ints[0] if d.kind == "count" else 1
         result = oracle.solve_measurings(c, a, b, budget, keep=2)
         witnesses = ()

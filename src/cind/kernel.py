@@ -118,8 +118,8 @@ class Monoid:
 def finite_monoid(name: str, elements, op: Callable, unit) -> Monoid:
     """Finite monoid with an explicit multiplication table.
 
-    The table must be closed over the carrier; associativity and unit laws
-    are the business of monoid_check, not of construction.
+    The table must be defined and closed over the carrier; associativity and
+    unit laws are the business of monoid_check, not of construction.
     """
     elements = tuple(elements)
     eset = set(elements)
@@ -128,7 +128,10 @@ def finite_monoid(name: str, elements, op: Callable, unit) -> Monoid:
     table = {}
     for a in elements:
         for b in elements:
-            c = op(a, b)
+            try:
+                c = op(a, b)
+            except TypeError as exc:  # as max(0, "a") or "a" * "b"
+                raise ValueError(f"{name}: op({a!r},{b!r}) is undefined: {exc}") from exc
             if c not in eset:
                 raise ValueError(f"{name}: op({a!r},{b!r}) = {c!r} leaves the carrier")
             table[a, b] = c

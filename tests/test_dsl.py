@@ -102,6 +102,27 @@ def test_bottom_token_versus_comment():
         dsl.parse("#b\nmonoid B = table {0, 1} max 0\n")
 
 
+def test_tokenize_pins_every_token_kind():
+    # a hyphenated name, #b beside a #bx comment, ->, a tab and a \r
+    tokens = dsl.tokenize("alg a-b = f(12, [x]) -> #b#bx note\n\t{k:\r7}")
+    assert [(t.kind, t.value, t.line, t.col) for t in tokens] == [
+        ("NAME", "alg", 1, 1), ("NAME", "a-b", 1, 5), ("SYM", "=", 1, 9),
+        ("NAME", "f", 1, 11), ("SYM", "(", 1, 12), ("INT", 12, 1, 13), ("SYM", ",", 1, 15),
+        ("SYM", "[", 1, 17), ("NAME", "x", 1, 18), ("SYM", "]", 1, 19), ("SYM", ")", 1, 20),
+        ("SYM", "->", 1, 22), ("BOTTOM", "#b", 1, 25),
+        ("SYM", "{", 2, 2), ("NAME", "k", 2, 3), ("SYM", ":", 2, 4), ("INT", 7, 2, 6),
+        ("SYM", "}", 2, 7), ("EOF", None, 2, 8)]
+    # after a trailing comment, EOF sits at the end of the line
+    assert dsl.tokenize("a # note")[-1] == dsl.Token("EOF", None, 1, 9)
+
+
+def test_tokenize_unexpected_character_position():
+    with pytest.raises(dsl.DslError) as err:
+        dsl.tokenize("alg A = x\n  b ! c\n")
+    assert (err.value.line, err.value.col) == (2, 5)
+    assert str(err.value) == "2:5: unexpected character '!'"
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -521,6 +542,47 @@ monoid B = table {{0, 1}} max 0
 """)
     assert code == 2
     assert f"3:1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["(0 (0 a))", "[0, a]"])
+def test_cli_machine_with_a_nested_unfolding_is_a_run_error(tmp_path, capsys, value):
+    # a map value is any term; an unfolding one level deep is the machine's check
+    code, out = _check_script(tmp_path, f"""monoid B = table {{0, 1}} max 0
+functor G = shape(B, 1)
+coalg C = machine(G, {{a -> {value}}})
+""")
+    assert code == 2 and not out
+    assert "3:1: state 'a' unfolds to " in capsys.readouterr().err
+
+
+def test_cli_const_machine_unfolding_to_a_node_is_a_run_error(tmp_path, capsys):
+    # over builtin nat no label set catches the node; it used to reach tensor
+    code, _ = _check_script(tmp_path, """monoid N = builtin nat
+functor K = const(N)
+coalg C = machine(K, {a -> (1 a)})
+coalg D = machine(K, {b -> 3})
+coalg T = tensor(C, D)
+""")
+    assert code == 2
+    assert "3:1: state 'a' unfolds to (1 'a'), not a label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["{a, b} mul a", "{0, a} max 0"])
+def test_cli_table_op_undefined_on_its_elements_is_a_run_error(tmp_path, capsys, table):
+    code, _ = _check_script(tmp_path, f"monoid M = table {table}\n")
+    assert code == 2
+    assert "1:1: M: op(" in capsys.readouterr().err
+
+
+def test_cli_builtin_monoid_keeps_its_declared_name(tmp_path, capsys):
+    code, _ = _check_script(tmp_path, """monoid N = builtin nat
+functor F = shape(N, 1)
+alg T = bounded(F, 2)
+coalg C = counter(F, 2)
+check c-initial C T
+""")
+    assert code == 2
+    assert "5:1: N is not enumerable" in capsys.readouterr().err
 
 
 def test_cli_partial_hom_names_itself_and_the_label(tmp_path, capsys):
