@@ -181,10 +181,9 @@ class Coalgebra:
 def coalgebra(sig: FunctorSig, states, chi: dict, name: str = "") -> Coalgebra:
     """A machine from its unfolding map, checked: every unfolding is a value
     over the signature (a bare label for const, bottom or a node whose slots
-    name known states for a shape) whose label lies in a finite label monoid."""
+    name known states for a shape) whose label lies in the label monoid."""
     states = tuple(states)
     known = set(states)
-    labels = sig.monoid.elements
     for c in states:
         v = chi[c]
         if sig.kind == SHAPE:
@@ -199,7 +198,7 @@ def coalgebra(sig: FunctorSig, states, chi: dict, name: str = "") -> Coalgebra:
         elif is_bottom(v) or isinstance(v, Node):
             raise ValueError(f"state {c!r} unfolds to {v!r}, not a label")
         label = v.label if sig.kind == SHAPE else v
-        if labels is not None and label not in labels:
+        if label not in sig.monoid:
             raise ValueError(f"state {c!r} unfolds with label {label!r} outside {sig.monoid.name}")
     return Coalgebra(sig, states, dict(chi), name)
 

@@ -350,6 +350,8 @@ def _constalg(name, sig, elements, pairs):
     if missing:
         raise ValueError(f"constalg interpretation missing labels {missing!r}")
     for m, x in alpha.items():
+        if m not in sig.monoid:
+            raise ValueError(f"constalg interprets {m!r}, which is not in {sig.monoid.name}")
         if x not in elements:
             raise ValueError(f"constalg structure map leaves the carrier: {m} -> {x}")
     return carriers.finite_algebra(sig, elements, alpha.__getitem__, name)

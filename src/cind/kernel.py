@@ -111,6 +111,13 @@ class Monoid:
             return self.elements[:k]
         return tuple(range(k))
 
+    def __contains__(self, x) -> bool:
+        """Membership: in ``elements``, or a natural number (an ``int`` that
+        is not a ``bool``) for the builtin carrier."""
+        if self.finite:
+            return x in self.elements
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
     def __repr__(self):
         return f"Monoid({self.name})"
 
@@ -231,9 +238,9 @@ def hom(source: Monoid, target: Monoid, mapping, inverse=None, name="") -> Monoi
         if missing:
             raise ValueError(f"hom mapping not total, missing {sorted(map(str, missing))}")
         for x, y in mapping.items():
-            if source.finite and x not in source.elements:
+            if x not in source:
                 raise ValueError(f"hom maps {x!r} -> {y!r}, but {x!r} is not in {source.name}")
-            if target.finite and y not in target.elements:
+            if y not in target:
                 raise ValueError(f"hom maps {x!r} -> {y!r}, but {y!r} is not in {target.name}")
     return MonoidHom(source, target, mapping, inverse, name)
 

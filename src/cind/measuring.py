@@ -245,14 +245,9 @@ def push_measuring(mu: NatTransform, phi: Measuring) -> Measuring:
         for s in phi.coalg.states:
             fuel = mu.hom.apply(phi.coalg.chi[s])
             for cls in pa.classes:
-                rep = cls[0]
-                kind, x = next(iter(cls))
-                alg_members = [m for k, m in cls if k == "alg"]
-                if alg_members:
-                    out = pb.embed(phi.eval(s, alg_members[0]))
-                else:
-                    out = pb.class_of[("mon", op2(fuel, x))]
-                table[s, rep] = out
+                kind, x = rep = cls[0]  # carrier items are interned first
+                table[s, rep] = (pb.embed(phi.eval(s, x)) if kind == "alg"
+                                 else pb.class_of[("mon", op2(fuel, x))])
         return table_measuring(pushforward_coalgebra(mu, phi.coalg),
                                pa.algebra, pb.algebra, table, f"push[{phi.name}]")
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 
-from .carriers import (Algebra, Coalgebra, coalgebra, table_algebra,
-                       unit_coalgebra)
+from .carriers import (Algebra, Coalgebra, coalgebra, is_coalgebra_morphism,
+                       table_algebra, unit_coalgebra)
 from .kernel import (BOTTOM, CONST, STAR, FunctorSig, NatTransform, Node,
                      Report, functor_map, fvalues, is_bottom, zip_values)
 from .measuring import (_pointwise_mismatches, compose, embed_measuring,
@@ -113,6 +114,9 @@ class _Structure:
             for d in set(deps):
                 self.by_dep[d].append(ci)
         self.initial = [ci for ci, (_, deps, _) in enumerate(constraints) if not deps]
+        defined = {lhs for lhs, _, _ in constraints}
+        self.loose = [cell for cell, users in enumerate(self.by_dep)
+                      if not users and cell not in defined]
 
     def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET,
               keep: int | None = None) -> SolveResult:
@@ -124,10 +128,10 @@ class _Structure:
 
         The first ``keep`` tables (all when None) are kept in the order of
         ``raw_lawful_tables``.  When there are more, the search stops and
-        counts them instead, building no tables: after the first propagation
-        each free cell that no constraint touches counts |B|, and the leaves
-        over the other free cells are counted by the same search.  The
-        budget bounds propagation steps, branches and kept tables together.
+        counts them instead, building no tables: each cell that no
+        constraint reads or defines counts |B|, and the leaves over the
+        other cells are counted by the same search.  The budget bounds
+        propagation steps, branches and kept tables together.
         """
         if b.elements is None:
             raise ValueError("solver needs a finite target carrier")
@@ -238,16 +242,10 @@ class _Structure:
             if not more:
                 return SolveResult(tuple(solutions), True, steps, len(solutions))
             assign[:] = [None] * self.ncells
+            for cell in self.loose:  # set aside: each counts n
+                assign[cell] = -1
             propagate(list(self.initial), [])
-            # each constraint with a free slot is in by_dep of that slot
-            touched = {constraints[ci][0] for cell, x in enumerate(assign)
-                       if x is None for ci in by_dep[cell]}
-            count = 1
-            for cell, x in enumerate(assign):
-                if x is None and not by_dep[cell] and cell not in touched:
-                    count *= n  # no constraint touches it: set it aside
-                    assign[cell] = -1
-            count *= sum(1 for _ in leaves([]))
+            count = n ** len(self.loose) * sum(1 for _ in leaves([]))
             return SolveResult(tuple(solutions), True, steps, count)
         except BudgetExceeded:
             return SolveResult(tuple(solutions), False, steps,
@@ -312,13 +310,9 @@ def coalgebra_morphisms(c: Coalgebra, d: Coalgebra, cap: int = 2 ** 20) -> tuple
     total = len(d.states) ** len(c.states)
     if total > cap:
         raise ValueError(f"{total} candidate maps exceed the cap {cap}")
-    out = []
-    for combo in itertools.product(d.states, repeat=len(c.states)):
-        f = dict(zip(c.states, combo))
-        if all(functor_map(c.sig, f.__getitem__, c.chi[s]) == d.chi[f[s]]
-               for s in c.states):
-            out.append(f)
-    return tuple(out)
+    maps = (dict(zip(c.states, combo))
+            for combo in itertools.product(d.states, repeat=len(c.states)))
+    return tuple(f for f in maps if is_coalgebra_morphism(f, c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +380,7 @@ def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
                      witnesses, ran_out=not exhaustive)
 
 
-def check_respects_composition(kind: str, instances, depth: int = 3,
-                               labels=None) -> Report:
+def check_respects_composition(kind: str, instances, depth: int = 3) -> Report:
     """Transporting a composite equals composing the transports, pointwise.
 
     kind "embed": instances are (nu, mu, psi, phi); kind "push"/"pull":
@@ -396,37 +389,25 @@ def check_respects_composition(kind: str, instances, depth: int = 3,
     pairwise restriction into the restricted product (pullback).  Infinite
     source carriers are sampled: terms up to ``depth`` are compared.
     """
+    transports = {"embed": partial(embed_measuring, verify=False),
+                  "push": push_measuring, "pull": pull_measuring}
+    if kind not in transports:
+        raise ValueError(f"unknown transport kind {kind!r}")
     witnesses = []
     count = 0
     full = True
-    for inst in instances:
-        count += 1
-        if kind == "embed":
-            nu, mu, psi, phi = inst
-            lhs = embed_measuring(nu, mu, compose(psi, phi), verify=False)
-            rhs = compose(embed_measuring(nu, mu, psi, verify=False),
-                          embed_measuring(nu, mu, phi, verify=False))
-            states = lhs.coalg.states
-        elif kind == "push":
-            mu, psi, phi = inst
-            lhs = push_measuring(mu, compose(psi, phi))
-            rhs = compose(push_measuring(mu, psi), push_measuring(mu, phi))
-            states = lhs.coalg.states
-        elif kind == "pull":
-            mu, psi, phi = inst
-            lhs = pull_measuring(mu, compose(psi, phi))
-            rhs = compose(pull_measuring(mu, psi), pull_measuring(mu, phi))
-            kept = set(lhs.coalg.states)
-            states = list(rhs.coalg.states)
-            missing = [s for s in states if s not in kept]
-            if missing:
-                witnesses.append((f"instance {count}", "pair state outside restricted product", missing[0]))
-                continue
-        else:
-            raise ValueError(f"unknown transport kind {kind!r}")
-        elems, done = lhs.source.carrier(depth, labels)
+    for count, (*nats, psi, phi) in enumerate(instances, 1):
+        move = partial(transports[kind], *nats)
+        lhs = move(compose(psi, phi))
+        rhs = compose(move(psi), move(phi))
+        kept = set(lhs.coalg.states)
+        missing = [s for s in rhs.coalg.states if s not in kept]
+        if missing:
+            witnesses.append((f"instance {count}", "pair state outside restricted product", missing[0]))
+            continue
+        elems, done = lhs.source.carrier(depth)
         full = full and done
-        for w in _pointwise_mismatches(lhs, rhs, states, elems):
+        for w in _pointwise_mismatches(lhs, rhs, rhs.coalg.states, elems):
             witnesses.append((f"instance {count}",) + w)
     return Report.of(f"respects-composition[{kind}]", f"{count} instances",
                      witnesses, checked=count,
@@ -435,58 +416,62 @@ def check_respects_composition(kind: str, instances, depth: int = 3,
 
 def check_adjunction(mu: NatTransform, side: str, instances,
                      cap: int = 2 ** 20, budget: int = DEFAULT_BUDGET) -> Report:
-    """Hom-set bijections for the two adjoint closed forms.
+    """Hom-set bijections for the pushout and the restriction.
 
     side "bang": instances are (A, B) constant-signature algebra pairs; the
     morphisms A -> pullback(B) must biject with morphisms pushout(A) -> B
     via the transposes.  side "shriek": instances are (D, C) machine pairs;
     morphisms D -> restrict(C) must biject with morphisms push(D) -> C via
-    post-composition with the inclusion.  ``cap`` bounds the candidate maps
-    of the machine morphism enumeration and ``budget`` each solve of the
-    algebra morphisms.
+    post-composition with the inclusion, which leaves a map as it is.  Each
+    transpose must land in the other hom-set and transpose back; one that
+    raises ``ValueError`` fails.  ``cap`` bounds the candidate maps of the
+    machine morphism enumeration and ``budget`` each solve of the algebra
+    morphisms; running past either is status budget.
     """
+    def bang(a, b):
+        p = pushout_algebra(mu.hom, a)
+        fs, f_result = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
+        gs, g_result = _algebra_morphisms(p.algebra, b, budget)
+        if not (f_result.exhaustive and g_result.exhaustive):
+            return "budget exceeded"
+        return fs, gs, partial(pushout_transpose, p, b), partial(pushout_untranspose, p)
+
+    def shriek(d, c):
+        sub = restrict_coalgebra(mu, c)
+        try:
+            fs = coalgebra_morphisms(d, sub.coalg, cap)
+            gs = coalgebra_morphisms(pushforward_coalgebra(mu, d), c, cap)
+        except ValueError:  # too many candidate maps
+            return "cap exceeded"
+        return fs, gs, dict, partial(restriction_untranspose, sub, d)
+
+    # per instance: the two hom-sets and the transposes, or what ran out
+    hom_sets = {"bang": bang, "shriek": shriek}.get(side)
+    if hom_sets is None:
+        raise ValueError(f"unknown adjunction side {side!r}")
     witnesses = []
     count = 0
     ran_out = False
-    for inst in instances:
-        count += 1
+    for count, inst in enumerate(instances, 1):
         tag = f"instance {count}"
-        if side == "bang":
-            a, b = inst
-            p = pushout_algebra(mu.hom, a)
-            fs, f_result = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
-            gs, g_result = _algebra_morphisms(p.algebra, b, budget)
-            if not (f_result.exhaustive and g_result.exhaustive):
-                ran_out = True
-                witnesses.append((tag, "budget exceeded"))
-                continue
-            if len(fs) != len(gs):
-                witnesses.append((tag, "counts", len(fs), len(gs)))
-                continue
-            gset = {tuple(sorted(g.items(), key=str)) for g in gs}
-            for f in fs:
-                g = pushout_transpose(p, b, f)
-                if tuple(sorted(g.items(), key=str)) not in gset:
-                    witnesses.append((tag, "transpose image not a morphism", str(f)))
-                elif pushout_untranspose(p, g) != f:
-                    witnesses.append((tag, "round trip failed", str(f)))
-        elif side == "shriek":
-            d, c = inst
-            sub = restrict_coalgebra(mu, c)
-            fs = coalgebra_morphisms(d, sub.coalg, cap)
-            gs = coalgebra_morphisms(pushforward_coalgebra(mu, d), c, cap)
-            if len(fs) != len(gs):
-                witnesses.append((tag, "counts", len(fs), len(gs)))
-                continue
-            gset = {tuple(sorted(g.items(), key=str)) for g in gs}
-            for f in fs:
-                # post-composing with the inclusion leaves the mapping as is
-                if tuple(sorted(f.items(), key=str)) not in gset:
-                    witnesses.append((tag, "inclusion image not a morphism", str(f)))
-                elif restriction_untranspose(sub, d, f) != f:
-                    witnesses.append((tag, "round trip failed", str(f)))
-        else:
-            raise ValueError(f"unknown adjunction side {side!r}")
+        found = hom_sets(*inst)
+        if isinstance(found, str):
+            ran_out = True
+            witnesses.append((tag, found))
+            continue
+        fs, gs, transpose, untranspose = found
+        if len(fs) != len(gs):
+            witnesses.append((tag, "counts", len(fs), len(gs)))
+            continue
+        gset = {frozenset(g.items()) for g in gs}
+        for f in fs:
+            try:
+                g = transpose(f)
+                ok = frozenset(g.items()) in gset and untranspose(g) == f
+            except ValueError:
+                ok = False
+            if not ok:
+                witnesses.append((tag, "transpose fails", str(f)))
     return Report.of(f"adjunction[{side}]", f"{count} instances", witnesses,
                      ran_out=ran_out, checked=count)
 
@@ -494,14 +479,13 @@ def check_adjunction(mu: NatTransform, side: str, instances,
 def check_preserves_c_initial(mu: NatTransform, c: Coalgebra, a: Algebra,
                               source_targets, target_targets,
                               budget: int = DEFAULT_BUDGET) -> Report:
-    """If a is uniquely measurable by c into every target, its left-adjoint
-    image is uniquely measurable by the pushed-forward fuel; sampled over
-    the two sets of targets."""
+    """a is uniquely measurable by c, and its image by the pushed-forward fuel;
+    sampled over the two sets of targets.  The image of a bounded term algebra
+    is the T_n^G that ``expand_algebra`` builds, so the check is that T_n^G is
+    c-initial for the pushed fuel, not that a left adjoint preserves it."""
     first = check_c_initial(c, a, source_targets, budget)
-    if a.sig.kind == CONST:
-        image = pushout_algebra(mu.hom, a).algebra
-    else:
-        image = expand_algebra(mu, a).algebra
+    image = (pushout_algebra(mu.hom, a) if a.sig.kind == CONST
+             else expand_algebra(mu, a)).algebra
     pushed = pushforward_coalgebra(mu, c)
     second = check_c_initial(pushed, image, target_targets, budget)
     witnesses = tuple(f"source: {w}" for w in first.witnesses) + \

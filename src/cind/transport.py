@@ -1,11 +1,13 @@
 """Recasting algebras and coalgebras along a signature morphism.
 
 Pullback precomposes an algebra's structure map; pushforward postcomposes a
-machine's unfolding.  The two adjoint constructions are closed forms: for
-constant signatures the label-change adjoint is a pushout computed with a
-union-find; for shape signatures it expands source terms into target terms
-leafwise; the machine-restriction adjoint is the greatest set of states whose
-unfoldings lift back through the morphism.
+machine's unfolding.  Three closed forms go the other way.  For constant
+signatures the label-change left adjoint is a pushout computed with a
+union-find.  For shape signatures, expansion builds the target term algebra
+of the source's depth bound plus the leafwise embedding of source terms; that
+is the left adjoint's image on the initial algebra only, not on a bounded
+one.  The machine-restriction right adjoint is the greatest set of states
+whose unfoldings lift back through the morphism.
 """
 
 from __future__ import annotations
@@ -147,9 +149,13 @@ def _expand_term(mu: NatTransform, t):
 
 
 def expand_algebra(mu: NatTransform, a: Algebra) -> ExpandedAlgebra:
-    """Left-adjoint closed form for term carriers: the matching target-term
-    algebra (same depth bound when the source is bounded) plus the leafwise
-    embedding of source terms."""
+    """The matching target-term algebra, T^G for the initial source and the
+    depth-n T_n^G for T_n^F, plus the leafwise embedding of source terms.
+
+    On the initial algebra this is the left adjoint's image.  On T_n^F it is
+    not: the left adjoint's image is the initial G-algebra modulo the images
+    of T_n^F's truncation equations only, which is usually infinite.
+    """
     if mu.source.kind != SHAPE:
         raise ValueError("expand_algebra expects shape signatures")
     if a.sig != mu.source:

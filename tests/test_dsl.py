@@ -567,6 +567,22 @@ coalg T = tensor(C, D)
     assert "3:1: state 'a' unfolds to (1 'a'), not a label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decls,error", [
+    ("functor K = const(N)\ncoalg C = machine(K, {a -> x})\n"
+     "coalg D = machine(K, {b -> 3})\ncoalg T = tensor(C, D)\n",
+     "3:1: state 'a' unfolds with label 'x' outside N"),
+    ("functor S = shape(N, 1)\ncoalg C = machine(S, {a -> (x a)})\n",
+     "3:1: state 'a' unfolds with label 'x' outside N"),
+    ("hom h : N -> N = [0 -> x]\n", "2:1: hom maps 0 -> 'x', but 'x' is not in N"),
+    ("functor K = const(N)\nalg A = constalg(K, {p}, {x -> p})\n",
+     "3:1: constalg interprets 'x', which is not in N"),
+], ids=["const-machine", "shape-machine", "hom", "constalg"])
+def test_cli_label_over_builtin_nat_must_be_a_natural_number(tmp_path, capsys, decls, error):
+    code, _ = _check_script(tmp_path, "monoid N = builtin nat\n" + decls)
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("table", ["{a, b} mul a", "{0, a} max 0"])
 def test_cli_table_op_undefined_on_its_elements_is_a_run_error(tmp_path, capsys, table):
     code, _ = _check_script(tmp_path, f"monoid M = table {table}\n")

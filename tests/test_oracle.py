@@ -5,8 +5,9 @@ import weakref
 import pytest
 
 from cind import oracle
-from cind.carriers import (coalgebra, finite_algebra, initial_term_algebra,
-                           nat_counter, shape_coalgebra, term_algebra_bounded,
+from cind.carriers import (Coalgebra, coalgebra, finite_algebra,
+                           initial_term_algebra, nat_counter, shape_coalgebra,
+                           table_algebra, term_algebra_bounded,
                            term_unfold_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
                          const_sig, identity_hom, identity_nat, is_bottom,
@@ -19,6 +20,7 @@ from cind.oracle import (check_adjunction, check_c_initial,
                          random_algebras, random_coalgebra,
                          raw_lawful_tables, solve_measurings,
                          solutions_as_measurings)
+from cind.transport import SubCoalgebra
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -436,6 +438,79 @@ def test_check_adjunction_identity_morphism():
     identF = identity_nat(F1)
     minstances = [(random_coalgebra(F1, 2, rng), random_coalgebra(F1, 3, rng))]
     assert check_adjunction(identF, "shriek", minstances).ok
+
+
+K2 = const_sig(BOOL_OR)
+
+
+def _bang_identity_instance():
+    # one morphism each side: the identity of the identity algebra
+    a = table_algebra(K2, (0, 1), {0: 0, 1: 1}, "id")
+    return identity_nat(K2), [(a, a)]
+
+
+def test_bang_transpose_that_raises_is_a_fails_witness(monkeypatch):
+    mu, instances = _bang_identity_instance()
+    assert check_adjunction(mu, "bang", instances).ok
+
+    def broken(p, b, f):
+        raise ValueError("transpose not well defined")
+
+    monkeypatch.setattr(oracle, "pushout_transpose", broken)
+    report = check_adjunction(mu, "bang", instances)
+    assert report.status == "fails"
+    assert report.witnesses == (("instance 1", "transpose fails", "{0: 0, 1: 1}"),)
+
+
+def test_bang_transpose_to_a_wrong_map_fails(monkeypatch):
+    mu, instances = _bang_identity_instance()
+    real = oracle.pushout_transpose
+
+    def swapped(p, b, f):
+        g = real(p, b, f)
+        return dict(zip(g, reversed(list(g.values()))))
+
+    monkeypatch.setattr(oracle, "pushout_transpose", swapped)
+    report = check_adjunction(mu, "bang", instances)
+    assert report.status == "fails"
+    assert report.witnesses[0][:2] == ("instance 1", "transpose fails")
+
+
+def test_shriek_restriction_short_of_a_state_fails_on_counts(monkeypatch):
+    mu = identity_nat(K2)
+    d = coalgebra(K2, ("d",), {"d": 0})
+    c = coalgebra(K2, ("c0", "c1"), {"c0": 0, "c1": 0})
+    assert check_adjunction(mu, "shriek", [(d, c)]).ok
+    real = oracle.restrict_coalgebra
+
+    def one_short(mu, c):
+        sub = real(mu, c)
+        kept = sub.kept[:-1]
+        lifted = Coalgebra(sub.coalg.sig, kept, {s: sub.coalg.chi[s] for s in kept})
+        return SubCoalgebra(sub.nat, sub.parent, kept, lifted)
+
+    monkeypatch.setattr(oracle, "restrict_coalgebra", one_short)
+    report = check_adjunction(mu, "shriek", [(d, c)])
+    assert report.status == "fails"
+    assert report.witnesses == (("instance 1", "counts", 1, 2),)
+
+
+def test_shriek_cap_overflow_reports_budget():
+    rng = random.Random(34)
+    instances = [(random_coalgebra(F1, 3, rng), random_coalgebra(G1, 3, rng))]
+    assert check_adjunction(MU_LIST, "shriek", instances).ok
+    report = check_adjunction(MU_LIST, "shriek", instances, cap=1)
+    assert report.status == "budget"
+    assert report.witnesses == (("instance 1", "cap exceeded"),)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_adjunction(MU_LIST, "bogus", []),
+    lambda: check_respects_composition("bogus", []),
+], ids=["side", "kind"])
+def test_unknown_side_or_kind_is_rejected_without_instances(check):
+    with pytest.raises(ValueError, match="unknown"):
+        check()
 
 
 def test_check_preserves_c_initial_pipeline():

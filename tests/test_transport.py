@@ -404,6 +404,21 @@ def test_restriction_of_a_long_chain(end):
     assert len(kept) == (2000 if end is BOTTOM else 0)
 
 
+def test_expansion_of_a_bounded_algebra_is_not_the_left_adjoint():
+    # T_1^G is not mu_!(T_1^F): into the tree algebra that marks equal
+    # children, no morphism leaves the expansion, yet one leaves T_1^F
+    from cind.oracle import raw_lawful_tables
+    t1, t2 = shape_sig(TRIV, 1), shape_sig(TRIV, 2)
+    mu = nat_transform(t1, t2, identity_hom(TRIV), (0, 0), name="perfect")
+    a = term_algebra_bounded(t1, 1)
+    b = finite_algebra(t2, (0, 1), lambda v: 0 if is_bottom(v)
+                       else int(v.slots[0] == v.slots[1]), "eq")
+    expanded = expand_algebra(mu, a).algebra
+    assert expanded.elements == term_algebra_bounded(t2, 1).elements
+    assert len(raw_lawful_tables(unit_coalgebra(t2), expanded, b)) == 0
+    assert len(raw_lawful_tables(unit_coalgebra(t1), a, pullback_algebra(mu, b))) == 1
+
+
 def test_restriction_transposes_roundtrip():
     rng = random.Random(17)
     from cind.oracle import coalgebra_morphisms, random_coalgebra
