@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV, _render,
-                     functor_map, is_bottom, shape_sig, unit_value,
-                     zip_values)
+                     functor_map, is_bottom, _sample_labels, shape_sig,
+                     unit_value, zip_values)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,13 @@ def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
     return tuple(out)
 
 
+def _term_segment(sig: FunctorSig, depth: int, labels=None):
+    """(terms of depth <= depth, coverage phrases stating the sample), over
+    the labels ``_sample_labels`` picks: 0, 1, 2 for a builtin monoid."""
+    labels, sampled = _sample_labels(sig.monoid, labels)
+    return terms_up_to(sig, depth, labels), (f"terms of depth <= {depth}",) + sampled
+
+
 def _using(old, new, arity):
     """The arity-tuples over old + new that use new, in lexicographic order:
     an old entry followed by such a tuple, or a new entry followed by any."""
@@ -94,8 +102,8 @@ class Algebra:
     """A carrier with a total interpretation of signature values.
 
     ``elements`` is the interned enumeration for finite carriers (None when
-    the carrier is infinite); ``enum_fn(depth, labels)`` enumerates an initial
-    segment of term-based carriers.  ``tag`` is one of initial / bounded /
+    the carrier is infinite); ``enum_fn(depth, labels)`` gives an initial
+    segment and its coverage phrases.  ``tag`` is one of initial / bounded /
     finite / derived; term-based operations require initial or bounded.
     """
 
@@ -112,11 +120,11 @@ class Algebra:
         return self.tag in ("initial", "bounded")
 
     def carrier(self, depth: int = 3, labels=None):
-        """(elements, complete): the full carrier or an initial segment."""
+        """(elements, coverage phrases): the whole carrier and none, or a segment."""
         if self.elements is not None:
-            return self.elements, True
+            return self.elements, ()
         if self.enum_fn is not None:
-            return self.enum_fn(depth, labels), False
+            return self.enum_fn(depth, labels)
         raise ValueError(f"carrier of {self.name or self.sig!r} is not enumerable")
 
     def __repr__(self):
@@ -138,7 +146,7 @@ def initial_term_algebra(sig: FunctorSig) -> Algebra:
         raise ValueError("term algebras exist over shape signatures only")
     return Algebra(sig, lambda v: v, None, "initial",
                    name=f"T[{sig!r}]",
-                   enum_fn=lambda depth, labels=None: terms_up_to(sig, depth, labels))
+                   enum_fn=partial(_term_segment, sig))
 
 
 def term_algebra_bounded(sig: FunctorSig, n: int) -> Algebra:
@@ -151,7 +159,7 @@ def term_algebra_bounded(sig: FunctorSig, n: int) -> Algebra:
     elements = terms_up_to(sig, n) if sig.monoid.finite else None
     return Algebra(sig, lambda v: truncate_term(v, n), elements, "bounded", bound=n,
                    name=f"T{n}[{sig!r}]",
-                   enum_fn=lambda depth, labels=None: terms_up_to(sig, min(depth, n), labels))
+                   enum_fn=lambda depth, labels=None: _term_segment(sig, min(depth, n), labels))
 
 
 def fold(b: Algebra, t):

@@ -218,16 +218,16 @@ def build_tree_pruning(budget: int = DEFAULT_BUDGET) -> Fixture:
     shape1, prune1 = prune_with(zero1)
     zipb = canonical_term_measuring(l1d, l1, l1, name="zipb")
     reports = [
-        check_law(prune1, depth=2, labels=(0, 1, 2)),
-        check_law(loop_phi, depth=2, labels=(0, 1, 2)),
-        check_law(pushed, depth=2, labels=(0, 1, 2)),
+        check_law(prune1, depth=2),
+        check_law(loop_phi, depth=2),
+        check_law(pushed, depth=2),
         check_c_initial(pushed_fuel, t1, targets, budget),
         check_respects_composition("push", [(mub, zipb, zipb)]),
     ]
     return Fixture("tree_pruning", "shape-directed pruning and its transports",
                    reports, goldens,
-                   measurings=[(loop_phi, {"depth": 2, "labels": (0, 1, 2)}),
-                               (pushed, {"depth": 2, "labels": (0, 1, 2)}),
+                   measurings=[(loop_phi, {"depth": 2}),
+                               (pushed, {"depth": 2}),
                                (zipb, {})])
 
 

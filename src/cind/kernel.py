@@ -452,9 +452,10 @@ def functor_map(sig: FunctorSig, f: Callable, v):
     return Node(v.label, tuple(f(s) for s in v.slots))
 
 
-def zip_values(sig: FunctorSig, u, v):
+def zip_values(sig: FunctorSig, u, v, f: Callable = None):
     """Combine two values over the same signature: labels multiply, slots pair
-    up positionwise, and bottom absorbs."""
+    up positionwise (or, given ``f``, become f(x, y), called from ``map`` so a
+    recursive f adds no frame per level), and bottom absorbs."""
     if sig.kind == CONST:
         return sig.monoid.op(u, v)
     if is_bottom(u) or is_bottom(v):
@@ -462,7 +463,7 @@ def zip_values(sig: FunctorSig, u, v):
     _check_node(sig, u)
     _check_node(sig, v)
     return Node(sig.monoid.op(u.label, v.label),
-                tuple(zip(u.slots, v.slots)))
+                tuple(map(f, u.slots, v.slots) if f else zip(u.slots, v.slots)))
 
 
 def unit_value(sig: FunctorSig, point=STAR):
@@ -470,6 +471,13 @@ def unit_value(sig: FunctorSig, point=STAR):
     if sig.kind == CONST:
         return sig.monoid.unit
     return Node(sig.monoid.unit, (point,) * sig.arity)
+
+
+def _sample_labels(monoid: Monoid, labels=None):
+    """(labels, coverage phrases): the labels given, else every element, else
+    the builtin carrier's 0, 1, 2; a phrase names them unless they are all."""
+    labels = tuple(labels if labels is not None else monoid.elements or monoid.sample(3))
+    return labels, () if labels == monoid.elements else (_listing("labels", labels),)
 
 
 def fvalues(sig: FunctorSig, payloads, labels=None):
@@ -575,10 +583,9 @@ def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
     on all value pairs.
     """
     xs, ys = tuple(payloads[0]), tuple(payloads[1])
-    if label_sample is None and not mu.source.monoid.finite:
-        label_sample = mu.source.monoid.sample(3)
-    us = fvalues(mu.source, xs, label_sample)
-    vs = fvalues(mu.source, ys, label_sample)
+    labels, listed = _sample_labels(mu.source.monoid, label_sample)
+    us = fvalues(mu.source, xs, labels)
+    vs = fvalues(mu.source, ys, labels)
     violations = []
     checked = 0
 
@@ -590,8 +597,7 @@ def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
     sampled = []
     if len(funcs) < len(ys) ** len(xs):
         sampled.append(f"{len(funcs)} of {len(ys) ** len(xs)} functions")
-    if label_sample is not None and tuple(label_sample) != mu.source.monoid.elements:
-        sampled.append(_listing("labels", label_sample))
+    sampled.extend(listed)
 
     for fn in funcs:
         f = fn.__getitem__

@@ -14,9 +14,9 @@ from typing import Callable
 
 from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
                        unit_coalgebra)
-from .kernel import (BOTTOM, CONST, NatTransform, Node, Report,
-                     compose_nats, coverage_of, functor_map, fvalues, identity_nat,
-                     is_bottom, _listing, nats_equal, unit_value, zip_values)
+from .kernel import (CONST, NatTransform, Report, compose_nats, coverage_of,
+                     fvalues, identity_nat, nats_equal, _sample_labels,
+                     unit_value, zip_values)
 from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
                         pushout_algebra, restrict_coalgebra)
 
@@ -71,8 +71,7 @@ def _law_mismatches(evalfn, coalg, source, target, values, limit):
         chi_c = coalg.chi[c]
         for v, out in values:
             lhs = evalfn(c, out)
-            zipped = zip_values(source.sig, chi_c, v)
-            rhs = target.alpha(functor_map(source.sig, lambda p: evalfn(p[0], p[1]), zipped))
+            rhs = target.alpha(zip_values(source.sig, chi_c, v, evalfn))
             if lhs != rhs:
                 yield (c, v, lhs, rhs)
                 found += 1
@@ -81,15 +80,11 @@ def _law_mismatches(evalfn, coalg, source, target, values, limit):
 
 
 def _source_domain(phi: Measuring, depth: int, labels):
-    """(source elements, labels, what was sampled): the whole carrier or its
-    terms up to ``depth``, over the given labels (a few for builtin monoids)."""
-    elems, full = phi.source.carrier(depth, labels)
-    sampled = [] if full else [f"terms of depth <= {depth}"]
-    if labels is None and not phi.source.sig.monoid.finite:
-        labels = phi.source.sig.monoid.sample(3)
-    if labels is not None and tuple(labels) != phi.source.sig.monoid.elements:
-        sampled.append(_listing("labels", labels))
-    return elems, labels, sampled
+    """(source elements, labels, what was sampled): the whole carrier or an
+    initial segment, and the labels the signature values run over."""
+    elems, sampled = phi.source.carrier(depth, labels)
+    labels, listed = _sample_labels(phi.source.sig.monoid, labels)
+    return elems, labels, list(dict.fromkeys(sampled + listed))
 
 
 def check_law(phi: Measuring, depth: int = 3, labels=None,
@@ -130,7 +125,7 @@ def canonical_term_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> M
         raise ValueError("canonical measuring needs a term-based source algebra")
     if c.sig != a.sig or a.sig != b.sig:
         raise ValueError("signature mismatch")
-    op = a.sig.monoid.op
+    sig, chi = a.sig, c.chi
     memo = {}
 
     def ev(state, t):
@@ -138,13 +133,7 @@ def canonical_term_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> M
         carrier evaluates each (state, subterm) pair once."""
         out = memo.get((state, t), memo)  # the memo itself marks a miss
         if out is memo:
-            chi = BOTTOM if is_bottom(t) else c.chi[state]
-            if is_bottom(chi):
-                out = b.alpha(BOTTOM)
-            else:
-                out = b.alpha(Node(op(chi.label, t.label),
-                                   tuple(ev(cs, ts) for cs, ts in zip(chi.slots, t.slots))))
-            memo[state, t] = out
+            out = memo[state, t] = b.alpha(zip_values(sig, chi[state], t, ev))
         return out
 
     return Measuring(c, a, b, rule=ev, name=name or "prune")
@@ -163,8 +152,7 @@ def canonical_const_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> 
     missing = [e for e in a.elements if e not in pre]
     if missing:
         raise ValueError(f"no canonical measuring: carrier elements {missing!r} are uninterpreted")
-    op = a.sig.monoid.op
-    table = {(s, e): b.alpha(op(c.chi[s], pre[e]))
+    table = {(s, e): b.alpha(zip_values(a.sig, c.chi[s], pre[e]))
              for s in c.states for e in a.elements}
     return table_measuring(c, a, b, table, name or "label-mul")
 
@@ -197,7 +185,7 @@ def from_morphism(f, a: Algebra, b: Algebra, depth: int = 3, labels=None,
     return phi
 
 
-def to_morphism(phi: Measuring, depth: int = 3, labels=None):
+def to_morphism(phi: Measuring):
     """Extract the algebra morphism from a unit-machine measuring."""
     states = phi.coalg.states
     if len(states) != 1 or phi.coalg.chi[states[0]] != unit_value(phi.coalg.sig, states[0]):
@@ -237,22 +225,19 @@ def push_measuring(mu: NatTransform, phi: Measuring) -> Measuring:
     canonical prune-and-fold measuring of the pushed fuel between the
     expanded algebras, which consumes one fuel step per node.
     """
+    fuel = pushforward_coalgebra(mu, phi.coalg)
     if mu.source.kind == CONST:
         pa = pushout_algebra(mu.hom, phi.source)
         pb = pushout_algebra(mu.hom, phi.target)
-        op2 = mu.target.monoid.op
         table = {}
-        for s in phi.coalg.states:
-            fuel = mu.hom.apply(phi.coalg.chi[s])
+        for s in fuel.states:
             for cls in pa.classes:
                 kind, x = rep = cls[0]  # carrier items are interned first
                 table[s, rep] = (pb.embed(phi.eval(s, x)) if kind == "alg"
-                                 else pb.class_of[("mon", op2(fuel, x))])
-        return table_measuring(pushforward_coalgebra(mu, phi.coalg),
-                               pa.algebra, pb.algebra, table, f"push[{phi.name}]")
+                                 else pb.class_of[("mon", zip_values(mu.target, fuel.chi[s], x))])
+        return table_measuring(fuel, pa.algebra, pb.algebra, table, f"push[{phi.name}]")
 
-    return canonical_term_measuring(pushforward_coalgebra(mu, phi.coalg),
-                                    expand_algebra(mu, phi.source).algebra,
+    return canonical_term_measuring(fuel, expand_algebra(mu, phi.source).algebra,
                                     expand_algebra(mu, phi.target).algebra,
                                     name=f"push[{phi.name}]")
 

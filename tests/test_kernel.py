@@ -292,8 +292,8 @@ def test_builtin_carrier_declines_enumeration():
         terms_up_to(sig, 1)
     bounded = term_algebra_bounded(sig, 2)
     assert bounded.elements is None
-    elems, complete = bounded.carrier(2, labels=(0, 1))
-    assert not complete and len(elems) == 7
+    elems, sampled = bounded.carrier(2, labels=(0, 1))
+    assert sampled == ("terms of depth <= 2", "labels 0, 1") and len(elems) == 7
     assert bounded.alpha(node(7, node(9, BOTTOM))) == node(7, node(9, BOTTOM))
 
 

@@ -18,6 +18,8 @@ from cind.measuring import (Measuring, MeasuringLawError,
                             embed_measuring, from_morphism, measuring_to_json,
                             measurings_equal, pull_measuring, push_measuring,
                             table_measuring, to_morphism)
+from cind.oracle import (check_respects_composition, random_algebra,
+                         random_coalgebra, raw_lawful_tables)
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra)
 
@@ -81,6 +83,29 @@ def test_check_law_budget_flags_partial():
     assert report.checked <= 15 + 10  # one state's worth at most over
 
 
+def test_check_law_passes_exactly_the_raw_oracles_tables():
+    # every table of each seeded instance, lawful or not: the law check must
+    # pass those the raw filter keeps and fail all the others
+    rng = random.Random(1010)
+    sigs = [const_sig(BOOL_OR), const_sig(TRUTH_AND)] + [shape_sig(BOOL_OR, k) for k in (0, 1, 2)]
+    key = lambda t: tuple(sorted(t.items(), key=repr))
+    tried = lawful = 0
+    for trial in range(30):
+        sig = sigs[trial % len(sigs)]
+        c = random_coalgebra(sig, rng.randint(1, 2), rng)
+        a = random_algebra(sig, rng.randint(1, 3), rng)
+        b = random_algebra(sig, rng.randint(1, 3), rng)
+        cells = [(s, x) for s in c.states for x in a.elements]
+        assert len(b.elements) ** len(cells) <= 2 ** 10
+        raw = set(map(key, raw_lawful_tables(c, a, b)))
+        for combo in itertools.product(b.elements, repeat=len(cells)):
+            table = dict(zip(cells, combo))
+            assert check_law(table_measuring(c, a, b, table)).ok == (key(table) in raw)
+            tried += 1
+        lawful += len(raw)
+    assert tried > 400 and 0 < lawful < tried
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -112,6 +137,19 @@ def test_prune_evaluates_each_state_and_subterm_once():
     assert len(calls) == 17
     phi.eval(perfect, perfect)
     assert len(calls) == 17
+
+
+def test_prune_adds_no_frame_per_level():
+    # a fuel shape and a subject tree as deep as half the recursion limit
+    import sys
+    depth = sys.getrecursionlimit() // 2 - 50
+    sig = shape_sig(NAT_PLUS, 2)
+    trees = initial_term_algebra(sig)
+    shape = subject = BOTTOM
+    for _ in range(depth):
+        shape, subject = node(0, shape, BOTTOM), node(1, subject, BOTTOM)
+    phi = canonical_term_measuring(term_as_coalgebra(sig, shape), trees, trees)
+    assert phi.eval(shape, subject) is subject
 
 
 def test_eval_bottom_goes_to_bottom_image():
@@ -439,3 +477,29 @@ def test_measuring_json_states_a_sampled_coverage():
     blob = measuring_to_json(phi, depth=2, labels=(0,))
     assert blob["coverage"] == "sampled: terms of depth <= 2; labels 0"
     assert len(blob["table"]) == len(phi.coalg.states) * 3  # #b, (0 #b), (0 (0 #b))
+
+
+NAT1 = shape_sig(NAT_PLUS, 1)
+NAT_LISTS = initial_term_algebra(NAT1)
+NAT_ZIP = canonical_term_measuring(term_as_coalgebra(NAT1, node(0, node(1, BOTTOM))),
+                                   NAT_LISTS, NAT_LISTS)
+NAT_DUP = nat_transform(NAT1, shape_sig(NAT_PLUS, 2), identity_hom(NAT_PLUS), (0, 0))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: check_law(NAT_ZIP, depth=2).line(),
+     "[holds] law prune  (sampled: terms of depth <= 2; labels 0, 1, 2)"),
+    (lambda: measuring_to_json(NAT_ZIP, depth=1)["coverage"],
+     "sampled: terms of depth <= 1; labels 0, 1, 2"),
+    (lambda: check_respects_composition("push", [(NAT_DUP, NAT_ZIP, NAT_ZIP)], depth=2).line(),
+     "[holds] respects-composition[push] 1 instances"
+     "  (sampled: terms of depth <= 2; labels 0, 1, 2)"),
+    (lambda: measurings_equal(NAT_ZIP, NAT_ZIP, depth=2), True),
+    (lambda: from_morphism(lambda x: x, NAT_LISTS, NAT_LISTS).name, "morphism"),
+    (lambda: embed_measuring(identity_nat(NAT1), identity_nat(NAT1), NAT_ZIP).name,
+     "embed[prune]"),
+], ids=["check_law", "to_json", "respects_composition", "measurings_equal",
+        "from_morphism", "embed"])
+def test_builtin_nat_carriers_sample_their_labels(call, expected):
+    # the enumerator behind the term carrier picks the labels 0, 1, 2
+    assert call() == expected
