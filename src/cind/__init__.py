@@ -29,7 +29,7 @@ from .measuring import (Measuring, MeasuringLawError,
                         measuring_to_json, measurings_equal, pull_measuring,
                         push_measuring, table_measuring, to_morphism)
 from .oracle import (DEFAULT_BUDGET, SolveResult,
-                     check_adjunction, check_c_initial,
+                     check_adjunction, decide_c_initial,
                      check_preinitial_subterminal, check_preserves_c_initial,
                      check_respects_composition, coalgebra_morphisms,
                      random_algebra, random_algebras, random_coalgebra,

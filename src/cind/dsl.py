@@ -22,8 +22,6 @@ from typing import Any
 from . import carriers, kernel, measuring, oracle, transport
 from .kernel import BOTTOM, Node
 
-CHECK_SEED = 2024
-
 
 class DslError(Exception):
     """Parse-stage failure: syntax, unresolved reference, or kind mismatch."""
@@ -415,7 +413,7 @@ _CHECK_KINDS = {
     "law": ("check law MEASURE", ("measure",), 0),
     "unique": ("check unique COALG ALG ALG", ("coalg", "alg", "alg"), 0),
     "count": ("check count COALG ALG ALG N", ("coalg", "alg", "alg"), 1),
-    "c-initial": ("check c-initial COALG ALG [MAX_SIZE [PER_SIZE]]", ("coalg", "alg"), 2),
+    "c-initial": ("check c-initial COALG ALG", ("coalg", "alg"), 2),
 }
 
 
@@ -506,8 +504,6 @@ def _resolve(script: Script):
                 need(name, w, pos)
             if d.kind == "count" and not ints:
                 raise DslError("check count needs the expected number of measurings", *pos)
-            if d.kind == "c-initial" and any(k < 1 for k in ints):
-                raise DslError("check c-initial needs a size bound and per-size count >= 1", *pos)
             extra = " ".join(map(str, ints[most:]))
             if extra:
                 raise DslError(f"check {d.kind}: extra number {extra}; usage: {usage}", *pos)
@@ -631,22 +627,15 @@ def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
         except ValueError as exc:
             return kernel.Report.of("law", refs[0], (str(exc),))
     if d.kind == "c-initial":
-        c, a = env[refs[0]], env[refs[1]]
-        max_size = ints[0] if ints else 2
-        per_size = ints[1] if len(ints) > 1 else 5
-        targets = oracle.random_algebras(a.sig, range(1, max_size + 1),
-                                         per_size, seed=CHECK_SEED)
-        return oracle.check_c_initial(c, a, targets, budget)
+        return oracle.decide_c_initial(env[refs[0]], env[refs[1]], budget)
     if d.kind in ("count", "unique"):
         c, a, b = env[refs[0]], env[refs[1]], env[refs[2]]
         expected = ints[0] if d.kind == "count" else 1
         result = oracle.solve_measurings(c, a, b, budget, keep=2)
         witnesses = ()
         if result.exhaustive and result.count != expected:
-            tables = tuple(
-                str(sorted((carriers.render_value(k[0]), carriers.render_value(k[1]),
-                            carriers.render_value(v)) for k, v in table.items()))
-                for table in result.solutions)
+            tables = tuple(str(sorted((*map(carriers.render_value, k), carriers.render_value(v))
+                                      for k, v in table.items())) for table in result.solutions)
             witnesses = (f"{result.count} lawful tables, expected {expected}",) + tables
         return kernel.Report.of(d.kind, " ".join(refs), witnesses,
                                 ran_out=not result.exhaustive)

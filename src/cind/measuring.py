@@ -83,7 +83,8 @@ def _source_domain(phi: Measuring, depth: int, labels):
     """(source elements, labels, what was sampled): the whole carrier or an
     initial segment, and the labels the signature values run over."""
     elems, sampled = phi.source.carrier(depth, labels)
-    labels, listed = _sample_labels(phi.source.sig.monoid, labels)
+    monoid = phi.source.sig.monoid  # labels sample a builtin monoid only
+    labels, listed = _sample_labels(monoid, None if monoid.finite else labels)
     return elems, labels, list(dict.fromkeys(sampled + listed))
 
 

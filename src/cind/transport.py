@@ -109,14 +109,7 @@ def pushout_algebra(h, a: Algebra) -> PushoutAlgebra:
     for i, it in enumerate(items):
         groups.setdefault(uf.find(i), []).append(it)
     classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    reps = {}
-    class_of = {}
-    for cls in classes:
-        rep = cls[0]
-        for it in cls:
-            class_of[it] = rep
-        reps[rep] = cls
-
+    class_of = {it: cls[0] for cls in classes for it in cls}
     alg = Algebra(const_sig(m2), lambda x2: class_of[("mon", x2)],
                   tuple(cls[0] for cls in classes), "derived",
                   name=f"pushout[{a.name}]")
@@ -267,9 +260,7 @@ def pushout_transpose(p: PushoutAlgebra, b: Algebra, f: dict) -> dict:
     quotient: interpreted elements go through f, new labels through b."""
     g = {}
     for cls in p.classes:
-        vals = set()
-        for kind, x in cls:
-            vals.add(f[x] if kind == "alg" else b.alpha(x))
+        vals = {f[x] if kind == "alg" else b.alpha(x) for kind, x in cls}
         if len(vals) != 1:
             raise ValueError(f"transpose not well defined on class {cls!r}: {vals!r}")
         g[cls[0]] = vals.pop()

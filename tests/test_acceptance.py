@@ -23,11 +23,10 @@ from cind.kernel import (BOOL_OR, BOTTOM, STAR, TRIV, TRUTH_AND, TRUTH_OR,
                          nat_transform, node, shape_sig, unit_hom)
 from cind.measuring import (canonical_term_measuring, check_law, compose,
                             from_morphism, table_measuring, to_morphism)
-from cind.oracle import (check_adjunction, check_c_initial,
-                         check_preserves_c_initial,
-                         check_respects_composition, random_algebra,
-                         random_algebras, random_coalgebra, raw_lawful_tables,
-                         solve_measurings)
+from cind.oracle import (check_adjunction, check_preserves_c_initial,
+                         check_respects_composition, decide_c_initial,
+                         random_algebra, random_algebras, random_coalgebra,
+                         raw_lawful_tables, solve_measurings)
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra, pushout_algebra)
 
@@ -144,6 +143,13 @@ def test_criterion_02_morphism_bijection():
             assert {(STAR, x): g[x] for x in a.elements} == t
 
 
+def _one_measuring_into_each(c, a, targets):
+    """The solver's cross-check of a decided c-initiality: exactly one
+    measuring into each seeded target."""
+    for b in targets:
+        assert solve_measurings(c, a, b, keep=2).count == 1, b.name
+
+
 @_criterion(3, "bounded trees are uniquely measurable by their shape fuel (< 60 s)")
 def test_criterion_03_c_initiality():
     start = time.monotonic()
@@ -152,9 +158,11 @@ def test_criterion_03_c_initiality():
         for n in (0, 1, 2):
             trees = term_algebra_bounded(sig, n)
             shapes = shape_coalgebra(sig, n)
-            targets = random_algebras(sig, (1, 2, 3), 25, seed=300 + n)
-            report = check_c_initial(shapes, trees, targets)
+            report = decide_c_initial(shapes, trees)
             assert report.ok, f"{monoid.name} n={n}: {report.witnesses[:2]}"
+            assert report.coverage == "exhaustive"
+            _one_measuring_into_each(shapes, trees,
+                                     random_algebras(sig, (1, 2, 3), 25, seed=300 + n))
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"c-initiality took {elapsed:.1f}s"
 
@@ -281,7 +289,7 @@ def test_criterion_07_respects_composition():
     assert check_respects_composition("pull", pull_pairs).ok
 
 
-@_criterion(8, "the perfect-tree pipeline preserves unique measurability (n = 1, 2)")
+@_criterion(8, "T_n^G is c-initial for the pushed perfect-tree fuel (n = 1, 2)")
 def test_criterion_08_preservation():
     for n in (1, 2):
         numerals = term_algebra_bounded(F1, n)
@@ -291,11 +299,13 @@ def test_criterion_08_preservation():
         assert expanded.algebra.elements == reference.elements
         assert coalgebras_identical(pushforward_coalgebra(MU_PERF, fuel),
                                     perfect_shape(T2, n))
-        report = check_preserves_c_initial(
-            MU_PERF, fuel, numerals,
-            random_algebras(F1, (1, 2, 3), 8, seed=800 + n),
-            random_algebras(T2, (1, 2, 3), 8, seed=810 + n))
+        report = check_preserves_c_initial(MU_PERF, fuel, numerals)
         assert report.ok, report.witnesses[:2]
+        assert report.coverage == "exhaustive"
+        _one_measuring_into_each(fuel, numerals,
+                                 random_algebras(F1, (1, 2, 3), 8, seed=800 + n))
+        _one_measuring_into_each(pushforward_coalgebra(MU_PERF, fuel), expanded.algebra,
+                                 random_algebras(T2, (1, 2, 3), 8, seed=810 + n))
 
 
 @_criterion(9, "solver output equals the raw filter oracle (>= 50 instances)")

@@ -431,11 +431,12 @@ def test_cli_check_with_extra_references_is_a_parse_error(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bounds", ["0 5", "2 0"])
-def test_cli_c_initial_over_no_targets_is_a_parse_error(tmp_path, capsys, bounds):
-    code, _ = _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {bounds}\n")
-    assert code == 2
-    assert "5:1: check c-initial needs" in capsys.readouterr().err
+@pytest.mark.parametrize("numbers", ["0 5", "2 0", "3"])
+def test_cli_c_initial_decides_whatever_numbers_trail_it(tmp_path, numbers):
+    # the two numbers that once sized its random targets still parse, unused
+    bare = _check_script(tmp_path, _NAT_LISTS + "check c-initial D L\n")
+    assert bare == (0, "[holds] c-initial counter2 (x) T2[shape(Triv,1)]  (exhaustive)\n")
+    assert _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {numbers}\n") == bare
 
 
 # ---------------------------------------------------------------------------

@@ -54,4 +54,4 @@ def test_gallery_budget_bounds_the_adjunction_solves():
     out = io.StringIO()
     code = cli.main(["gallery", "truth_monoid", "--budget", "1"], out=out)
     assert code == 3
-    assert "[budget] adjunction[bang] 4 instances" in out.getvalue()
+    assert "[budget] adjunction[bang] 196 instances" in out.getvalue()

@@ -503,3 +503,38 @@ NAT_DUP = nat_transform(NAT1, shape_sig(NAT_PLUS, 2), identity_hom(NAT_PLUS), (0
 def test_builtin_nat_carriers_sample_their_labels(call, expected):
     # the enumerator behind the term carrier picks the labels 0, 1, 2
     assert call() == expected
+
+
+def test_labels_sample_the_carrier_not_a_finite_source_signature():
+    # a pullback along a relabelling: its carrier holds NatPlus terms, which
+    # the labels sample, while its signature values run over BoolOr's own
+    mu = nat_transform(G1, NAT1, hom(BOOL_OR, NAT_PLUS, {0: 0, 1: 0}), (0,))
+    p = pullback_algebra(mu, initial_term_algebra(NAT1))
+    phi = from_morphism(lambda x: x, p, p, depth=2, labels=(0, 1, 2))
+    report = check_law(phi, depth=2, labels=(0, 1, 2))
+    assert report.ok
+    assert report.coverage == "sampled: terms of depth <= 2; labels 0, 1, 2"
+    assert measuring_to_json(phi, depth=2, labels=(0, 1, 2))["coverage"] == report.coverage
+
+
+LIFT = MU_LIST
+DUP = nat_transform(G1, H2, identity_hom(BOOL_OR), (0, 0), name="dup")
+FLIP = nat_transform(const_sig(TRUTH_AND), const_sig(TRUTH_OR),
+                     hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}, inverse={"T": "F", "F": "T"}),
+                     name="flip")
+
+
+@pytest.mark.parametrize("move, mu, a", [
+    (push_measuring, LIFT, term_algebra_bounded(F1, 2)),
+    (push_measuring, DUP, term_algebra_bounded(G1, 2)),
+    (pull_measuring, LIFT, term_algebra_bounded(G1, 2)),
+    (pull_measuring, DUP, term_algebra_bounded(H2, 1)),
+    (push_measuring, FLIP, finite_algebra(const_sig(TRUTH_AND), ("t", "f", "x"),
+                                          {"T": "t", "F": "f"}.__getitem__)),
+], ids=["push-lift", "push-dup", "pull-lift", "pull-dup", "push-flip"])
+def test_transports_send_identities_to_identities(move, mu, a):
+    # enriched functors preserve identities: the moved identity measuring is
+    # the identity morphism of its carrier, fuelled by the unit machine
+    moved = move(mu, from_morphism(lambda x: x, a, a))
+    assert moved.source.elements == moved.target.elements
+    assert to_morphism(moved) == {x: x for x in moved.source.elements}

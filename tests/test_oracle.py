@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -10,14 +11,14 @@ from cind.carriers import (Coalgebra, coalgebra, finite_algebra,
                            table_algebra, term_algebra_bounded,
                            term_unfold_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
-                         const_sig, identity_hom, identity_nat, is_bottom,
-                         nat_transform, node, shape_sig, unit_hom)
+                         const_sig, finite_monoid, fvalues, identity_hom,
+                         identity_nat, is_bottom, nat_transform, node,
+                         shape_sig, unit_hom)
 from cind.measuring import Measuring, canonical_term_measuring, check_law
-from cind.oracle import (check_adjunction, check_c_initial,
-                         check_preinitial_subterminal,
+from cind.oracle import (check_adjunction, check_preinitial_subterminal,
                          check_preserves_c_initial,
-                         check_respects_composition, random_algebra,
-                         random_algebras, random_coalgebra,
+                         check_respects_composition, decide_c_initial,
+                         random_algebra, random_algebras, random_coalgebra,
                          raw_lawful_tables, solve_measurings,
                          solutions_as_measurings)
 from cind.transport import SubCoalgebra
@@ -25,6 +26,7 @@ from cind.transport import SubCoalgebra
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
 H2 = shape_sig(BOOL_OR, 2)
+K2 = const_sig(BOOL_OR)
 MU_LIST = nat_transform(F1, G1, unit_hom(BOOL_OR), (0,), name="mu")
 
 
@@ -316,26 +318,114 @@ def test_bang_adjunction_with_non_injective_hom():
 
 
 def test_counter_fuel_makes_bounded_numerals_initial():
-    targets = random_algebras(F1, (1, 2, 3), 5, seed=50)
-    report = check_c_initial(nat_counter(2), term_algebra_bounded(F1, 2), targets)
-    assert report.ok
+    c, a = nat_counter(2), term_algebra_bounded(F1, 2)
+    report = decide_c_initial(c, a)
+    assert report.ok and report.coverage == "exhaustive"
+    for b in random_algebras(F1, (1, 2, 3), 5, seed=50):
+        assert solve_measurings(c, a, b, keep=2).count == 1
 
 
 def test_non_preinitial_source_fails_with_witnesses():
     # an uninterpreted extra element admits several measurings
     a = finite_algebra(F1, ("z", "w"),
                        lambda v: "z", "loose")
-    targets = [random_algebra(F1, 2, random.Random(9))]
-    report = check_c_initial(nat_counter(1), a, targets)
+    report = decide_c_initial(nat_counter(1), a)
     assert not report.ok
     assert report.witnesses
 
 
 def test_check_c_initial_budget_status():
-    targets = random_algebras(F1, (2,), 1, seed=51)
-    report = check_c_initial(nat_counter(2), term_algebra_bounded(F1, 2),
-                             targets, budget=1)
+    report = decide_c_initial(nat_counter(2), term_algebra_bounded(F1, 2), budget=1)
     assert report.status == "budget"
+    assert report.checked == 1
+
+
+# one instance per outcome of the decision, each confirmed by the solver on
+# the algebra its witness names
+
+def _named_target(report, sig):
+    """(the algebra a failing decision's witness names, the measurings the
+    witness says it has: 0, or 2 for at least two)."""
+    witness = report.witnesses[0]
+    depth = re.search(r"no measuring into T(\d+)\[", witness)
+    if depth:
+        return term_algebra_bounded(sig, int(depth.group(1))), 0
+    if witness.endswith("with the identity structure map"):
+        return finite_algebra(sig, sig.monoid.elements, lambda x: x, "labels"), 0
+    assert "the 2-element algebra with a constant structure map" in witness
+    return finite_algebra(sig, (0, 1), lambda v: 0, "const2"), 2
+
+
+def _confirmed(report, c, a):
+    b, expected = _named_target(report, a.sig)
+    count = solve_measurings(c, a, b, keep=2).count
+    return count >= 2 if expected else count == 0
+
+
+def test_decision_pins_an_instance_the_sampled_check_passed():
+    # the DSL's former sample (5 targets of sizes 1 and 2, seed 2024) found
+    # exactly one measuring into each; T_k has none
+    c = coalgebra(F1, (0, 1, 2), {0: node("e", 2), 1: node("e", 0), 2: node("e", 1)}, "cyc")
+    a = table_algebra(F1, (0, 1, 2), {BOTTOM: 2, node("e", 0): 0, node("e", 1): 0,
+                                      node("e", 2): 1}, "A")
+    report = decide_c_initial(c, a)
+    assert report.status == "fails" and report.coverage == "exhaustive"
+    assert "clash; no measuring into T" in report.witnesses[0]
+    assert _confirmed(report, c, a)
+    assert solve_measurings(c, a, term_algebra_bounded(F1, 4)).count == 0
+    assert all(solve_measurings(c, a, b, keep=2).count == 1
+               for b in random_algebras(F1, (1, 2), 5, seed=2024))
+
+
+@pytest.mark.parametrize("sig,chi,interpret", [
+    (F1, BOTTOM, lambda v: "z"),
+    (K2, 1, lambda x: "z"),
+], ids=["shape", "const"])
+def test_decision_names_a_cell_no_constraint_defines(sig, chi, interpret):
+    c = coalgebra(sig, ("s",), {"s": chi}, "one")
+    a = finite_algebra(sig, ("z", "w"), interpret, "extra")
+    report = decide_c_initial(c, a)
+    assert report.witnesses == ("cell (s w) is defined by no constraint; the 2-element "
+                                "algebra with a constant structure map has >= 2 measurings",)
+    assert _confirmed(report, c, a)
+
+
+def test_decision_names_a_clash_of_labels_for_a_constant_signature():
+    c = coalgebra(K2, ("s",), {"s": 0}, "one")
+    a = finite_algebra(K2, ("z",), lambda x: "z", "point")
+    report = decide_c_initial(c, a)
+    assert report.witnesses == ("cell (s z): 1 and 0 clash; no measuring into BoolOr "
+                                "with the identity structure map",)
+    assert _confirmed(report, c, a)
+
+
+def test_decision_agrees_with_the_solver_on_seeded_instances():
+    # holds: exactly one measuring into each seeded target; fails: the
+    # witness's algebra has none (or two, for a cell no constraint defines)
+    max3 = finite_monoid("Max3", (0, 1, 2), max, 0)
+    sigs = [const_sig(BOOL_OR), const_sig(TRUTH_AND), const_sig(max3)] + \
+        [shape_sig(m, arity) for m in (TRIV, BOOL_OR) for arity in (0, 1, 2)]
+    rng = random.Random(111)
+    outcomes = set()
+    for trial in range(600):
+        sig = sigs[trial % len(sigs)]
+        c = random_coalgebra(sig, rng.randint(1, 3), rng)
+        a = random_algebra(sig, rng.randint(1, 3), rng)
+        if rng.random() < 0.2:  # add an element the structure map never reaches
+            old = set(fvalues(sig, a.elements))
+            a = table_algebra(sig, a.elements + (3,),
+                              {v: a.alpha(v) if v in old else 0
+                               for v in fvalues(sig, a.elements + (3,))}, a.name)
+        report = decide_c_initial(c, a)
+        assert report.coverage == "exhaustive" and report.status != "budget"
+        if report.ok:
+            outcomes.add("holds")
+            for b in random_algebras(sig, (1, 2, 3), 2, seed=trial):
+                assert solve_measurings(c, a, b, keep=2).count == 1, (trial, b.name)
+        else:
+            outcomes.add("clash" if "clash" in report.witnesses[0] else "undefined")
+            assert _confirmed(report, c, a), (trial, report.witnesses)
+    assert outcomes == {"holds", "clash", "undefined"}
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +530,6 @@ def test_check_adjunction_identity_morphism():
     assert check_adjunction(identF, "shriek", minstances).ok
 
 
-K2 = const_sig(BOOL_OR)
-
 
 def _bang_identity_instance():
     # one morphism each side: the identity of the identity algebra
@@ -515,21 +603,21 @@ def test_unknown_side_or_kind_is_rejected_without_instances(check):
 
 def test_check_preserves_c_initial_pipeline():
     mu2 = nat_transform(F1, H2, unit_hom(BOOL_OR), (0, 0), name="perfect")
-    report = check_preserves_c_initial(
-        mu2, nat_counter(1), term_algebra_bounded(F1, 1),
-        random_algebras(F1, (1, 2), 3, seed=60),
-        random_algebras(H2, (1, 2), 3, seed=61))
-    assert report.ok
+    report = check_preserves_c_initial(mu2, nat_counter(1), term_algebra_bounded(F1, 1))
+    assert report.ok and report.coverage == "exhaustive"
+    assert check_preserves_c_initial(mu2, nat_counter(1), term_algebra_bounded(F1, 1),
+                                     budget=1).status == "budget"
 
 
 def test_check_preserves_c_initial_identity_matches_plain_check():
     ident = identity_nat(F1)
-    targets = random_algebras(F1, (1, 2), 3, seed=62)
-    report = check_preserves_c_initial(ident, nat_counter(1),
-                                       term_algebra_bounded(F1, 1),
-                                       targets, targets)
-    plain = check_c_initial(nat_counter(1), term_algebra_bounded(F1, 1), targets)
-    assert report.ok == plain.ok
+    for n in (1, 2):  # counter fuel 2 is deeper than the algebra: a clash
+        a = term_algebra_bounded(F1, 1)
+        report = check_preserves_c_initial(ident, nat_counter(n), a)
+        plain = decide_c_initial(nat_counter(n), a)
+        assert report.ok == plain.ok
+        assert report.witnesses == tuple(f"{side}: {w}" for side in ("source", "image")
+                                         for w in plain.witnesses)
 
 
 def test_list_fuel_expansion_small_instance():
@@ -541,8 +629,7 @@ def test_list_fuel_expansion_small_instance():
     l1 = term_algebra_bounded(gb, 1)
     t1 = expand_algebra(mub, l1).algebra
     fuel = pushforward_coalgebra(mub, term_unfold_coalgebra(gb, 1))
-    report = check_c_initial(fuel, t1, random_algebras(hb, (1, 2, 3), 5, seed=63))
-    assert report.ok
+    assert decide_c_initial(fuel, t1).ok
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +637,8 @@ def test_list_fuel_expansion_small_instance():
 
 
 def test_reports_are_deterministic_and_serialisable():
-    targets = random_algebras(F1, (1, 2), 2, seed=70)
-    r1 = check_c_initial(nat_counter(1), term_algebra_bounded(F1, 1), targets)
-    r2 = check_c_initial(nat_counter(1), term_algebra_bounded(F1, 1), targets)
+    r1 = decide_c_initial(nat_counter(1), term_algebra_bounded(F1, 1))
+    r2 = decide_c_initial(nat_counter(1), term_algebra_bounded(F1, 1))
     assert r1 == r2
     blob = r1.to_json()
     assert blob["status"] == "holds"

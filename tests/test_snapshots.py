@@ -55,7 +55,7 @@ def test_sampled_reports_say_so_in_text_and_json():
     coverage = _coverage_by_report(text, json.loads(blob)["reports"])
     sampled = {key for key, cov in coverage.items() if cov.startswith("sampled: ")}
     assert {("law", "prune"), ("law", "loopprune"), ("law", "push[listzip]")} <= sampled
-    assert all(key in sampled for key in coverage if key[0] == "c-initial")
+    assert all(coverage[key] == "exhaustive" for key in coverage if key[0] == "c-initial")
 
 
 def test_exhaustive_reports_say_so_in_text_and_json():
@@ -65,4 +65,4 @@ def test_exhaustive_reports_say_so_in_text_and_json():
     assert coverage["solve", "zip2"] == "exhaustive"
     assert coverage["law", "zip2"] == "exhaustive"
     assert coverage["unique", "L2d L2 L2"] == "exhaustive"
-    assert coverage["c-initial", "counter2 (x) T2[shape(Triv,1)]"] == "sampled: 10 targets"
+    assert coverage["c-initial", "counter2 (x) T2[shape(Triv,1)]"] == "exhaustive"
