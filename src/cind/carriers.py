@@ -23,19 +23,59 @@ from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV, _render,
 # terms
 
 
+def _levels(t):
+    """The distinct terms at each level of a term, from the root down, bottom
+    included, in dicts used as ordered sets.  Plain containers, so the walks
+    built on it take a term of any depth, and a subterm shared within a
+    level is walked once."""
+    levels, below = [], {t: None}
+    while below:
+        levels.append(below)
+        below = dict.fromkeys(s for x in below if x is not BOTTOM for s in x.slots)
+    return levels
+
+
+def _bottom_up(t, leaf, build):
+    """Rebuild a term from its leaves up, once per distinct subterm: bottom
+    becomes ``leaf()``, and a node x ``build(x, the tuple of what its slots
+    became)``."""
+    done = {}
+    for level in reversed(_levels(t)):
+        for x in level:
+            if x not in done:
+                done[x] = leaf() if x is BOTTOM else build(x, tuple([done[s] for s in x.slots]))
+    return done[t]
+
+
 def term_depth(t) -> int:
-    if is_bottom(t):
-        return 0
-    if not t.slots:
-        return 1
-    return 1 + max(term_depth(s) for s in t.slots)
+    """The number of levels holding a node: 0 for bottom."""
+    levels = _levels(t)
+    return len(levels) - all(x is BOTTOM for x in levels[-1])
 
 
 def truncate_term(t, n: int):
-    """Depth clamp: everything below level n becomes bottom."""
-    if is_bottom(t) or n <= 0:
-        return BOTTOM
-    return Node(t.label, tuple(truncate_term(s, n - 1) for s in t.slots))
+    """Depth clamp: everything below level n becomes bottom.  Level by level
+    like ``_bottom_up``, but cut at level n, with plain lists and inlined, as
+    this is the bounded algebras' structure map.  A term that fits is
+    returned as it is, the one node equal to its rebuild."""
+    levels, below = [], [t]
+    for _ in range(n):
+        levels.append(below)
+        below = [s for x in below if x is not BOTTOM for s in x.slots]
+        if not below:
+            return t
+    if not [x for x in below if x is not BOTTOM]:
+        return t
+    below = [BOTTOM] * len(below)
+    for level in reversed(levels):
+        if len(level) == 1:  # one node, as in a list: below holds its slots
+            below = [Node(level[0].label, tuple(below))]
+        else:
+            slots = iter(below)
+            below = [x if x is BOTTOM
+                     else Node(x.label, tuple(itertools.islice(slots, len(x.slots))))
+                     for x in level]
+    return below[0]
 
 
 def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
@@ -163,10 +203,8 @@ def term_algebra_bounded(sig: FunctorSig, n: int) -> Algebra:
 
 
 def fold(b: Algebra, t):
-    """Evaluate a finite term in an algebra by structural recursion."""
-    if is_bottom(t):
-        return b.alpha(BOTTOM)
-    return b.alpha(Node(t.label, tuple(fold(b, s) for s in t.slots)))
+    """Evaluate a finite term in an algebra, from its leaves up."""
+    return _bottom_up(t, partial(b.alpha, BOTTOM), lambda x, kids: b.alpha(Node(x.label, kids)))
 
 
 # ---------------------------------------------------------------------------

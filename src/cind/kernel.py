@@ -12,6 +12,7 @@ returns a ``Report``, which states whether it was exhaustive or sampled.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -149,7 +150,7 @@ TRIV = finite_monoid("Triv", ("e",), lambda a, b: "e", "e")
 BOOL_OR = finite_monoid("BoolOr", (0, 1), max, 0)
 TRUTH_AND = finite_monoid("TruthAnd", ("T", "F"), lambda a, b: "T" if a == "T" and b == "T" else "F", "T")
 TRUTH_OR = finite_monoid("TruthOr", ("T", "F"), lambda a, b: "T" if a == "T" or b == "T" else "F", "F")
-NAT_PLUS = Monoid("NatPlus", None, lambda a, b: a + b, 0)
+NAT_PLUS = Monoid("NatPlus", None, operator.add, 0)
 
 
 def monoid_check(m: Monoid, budget: int = 1000) -> Report:
@@ -455,13 +456,15 @@ def functor_map(sig: FunctorSig, f: Callable, v):
 def zip_values(sig: FunctorSig, u, v, f: Callable = None):
     """Combine two values over the same signature: labels multiply, slots pair
     up positionwise (or, given ``f``, become f(x, y), called from ``map`` so a
-    recursive f adds no frame per level), and bottom absorbs."""
+    recursive f adds no frame per level), and bottom absorbs.  A node whose
+    arity is not the signature's raises ``ValueError``."""
     if sig.kind == CONST:
         return sig.monoid.op(u, v)
-    if is_bottom(u) or is_bottom(v):
+    if u is BOTTOM or v is BOTTOM:
         return BOTTOM
-    _check_node(sig, u)
-    _check_node(sig, v)
+    if len(u.slots) != sig.arity or len(v.slots) != sig.arity:
+        _check_node(sig, u)
+        _check_node(sig, v)
     return Node(sig.monoid.op(u.label, v.label),
                 tuple(map(f, u.slots, v.slots) if f else zip(u.slots, v.slots)))
 

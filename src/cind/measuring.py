@@ -63,15 +63,17 @@ def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") 
 # the defining law
 
 
-def _law_mismatches(evalfn, coalg, source, target, values, limit):
+def _law_mismatches(rule, coalg, source, target, values, limit):
     """Yield (state, value, got, expected) wherever the one-step law fails;
-    ``values`` are the (value, source.alpha(value)) pairs to check."""
+    ``values`` are the (value, source.alpha(value)) pairs to check and
+    ``rule`` is the measuring's map, called directly."""
     found = 0
+    sig, alpha = source.sig, target.alpha
     for c in coalg.states:
         chi_c = coalg.chi[c]
         for v, out in values:
-            lhs = evalfn(c, out)
-            rhs = target.alpha(zip_values(source.sig, chi_c, v, evalfn))
+            lhs = rule(c, out)
+            rhs = alpha(zip_values(sig, chi_c, v, rule))
             if lhs != rhs:
                 yield (c, v, lhs, rhs)
                 found += 1
@@ -108,7 +110,7 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
         keep = coalg.states[:max(1, budget // max(1, n_values))]
         sampled.append(f"{len(keep)} of {len(coalg.states)} fuel states")
         coalg = Coalgebra(coalg.sig, keep, {s: coalg.chi[s] for s in keep})
-    violations = _law_mismatches(phi.eval, coalg, phi.source, phi.target,
+    violations = _law_mismatches(phi.rule, coalg, phi.source, phi.target,
                                  values, max_witnesses)
     return Report.of("law", phi.name, violations,
                      checked=len(coalg.states) * n_values,
@@ -127,14 +129,17 @@ def canonical_term_measuring(c: Coalgebra, a: Algebra, b: Algebra, name="") -> M
     if c.sig != a.sig or a.sig != b.sig:
         raise ValueError("signature mismatch")
     sig, chi = a.sig, c.chi
-    memo = {}
+    memos = {s: {} for s in chi}  # one per fuel state, keyed by the term
 
     def ev(state, t):
         """Memoized, inner calls included, so a law check over a term
-        carrier evaluates each (state, subterm) pair once."""
-        out = memo.get((state, t), memo)  # the memo itself marks a miss
+        carrier evaluates each (state, subterm) pair once.  Equal terms are
+        one object, so each state's memo keys on the term alone; an unknown
+        state raises ``KeyError``."""
+        memo = memos[state]
+        out = memo.get(t, memo)  # the memo itself marks a miss
         if out is memo:
-            out = memo[state, t] = b.alpha(zip_values(sig, chi[state], t, ev))
+            out = memo[t] = b.alpha(zip_values(sig, chi[state], t, ev))
         return out
 
     return Measuring(c, a, b, rule=ev, name=name or "prune")

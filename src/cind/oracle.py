@@ -348,34 +348,35 @@ def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> 
     budget unit a step; m(x) = m(y) never becomes x = y, as a structure map
     need not be injective).  Each cell filled and no clash: folding its term
     is the one measuring into any algebra.  A clash: none into T_k, k the
-    larger depth, or the label monoid with the identity map.  A cell left
-    empty: two or more into the 2-element constant algebra, at a cell no
-    constraint defines.  There is one, as a is finite: under fuel with no
-    infinite path an empty cell leads down to one, and an infinite path makes
-    the orbit of alpha(bottom) clash first, its terms growing a level a step."""
+    first level at which the two terms differ (the root is level 1), as
+    their truncations to depth k differ, or none into the label monoid with
+    the identity map.  A cell left empty: two or more into the 2-element
+    constant algebra, at a cell no constraint defines.  There is one, as a
+    is finite: under fuel with no infinite path an empty cell leads down to
+    one, and an infinite path makes the orbit of alpha(bottom) clash first,
+    its terms growing a level a step."""
     s = _Structure(c, a)
     sig, labels = a.sig, a.sig.monoid.elements
     cells = [(st, e) for st in s.states for e in s.elems]
-    terms, depths = [None] * s.ncells, [0] * s.ncells
+    terms = [None] * s.ncells
     waiting = [len(set(deps)) for _, deps, _ in s.constraints]
     queue, steps, witness = list(s.initial), 0, None
     while queue and not witness and steps < budget:
         lhs, deps, m = s.constraints[queue.pop()]
         steps += 1
         if m < 0 or sig.kind == CONST:
-            t, depth = (BOTTOM if m < 0 else labels[m]), 0
+            t = BOTTOM if m < 0 else labels[m]
         else:
             t = Node(labels[m], tuple(terms[d] for d in deps))
-            depth = 1 + max((depths[d] for d in deps), default=0)
         if terms[lhs] is None:
-            terms[lhs], depths[lhs] = t, depth
+            terms[lhs] = t
             for ci in s.by_dep[lhs]:
                 waiting[ci] -= 1
                 if not waiting[ci]:
                     queue.append(ci)
         elif terms[lhs] != t:
             into = (f"{sig.monoid.name} with the identity structure map" if sig.kind == CONST
-                    else f"T{max(depth, depths[lhs])}[{sig!r}]")
+                    else f"T{_first_difference(terms[lhs], t)}[{sig!r}]")
             witness = (f"cell {render_value(cells[lhs])}: {render_value(terms[lhs])} and "
                        f"{render_value(t)} clash; no measuring into {into}")
     ran_out = bool(queue) and not witness
@@ -387,6 +388,22 @@ def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> 
                    "algebra with a constant structure map has >= 2 measurings")
     return Report.of("c-initial", f"{c.name} (x) {a.name}", [witness] if witness else (),
                      ran_out=ran_out, checked=steps)
+
+
+def _first_difference(t, u) -> int:
+    """The first level, the root being level 1, at which two different terms
+    differ: bottom against a node, or two labels.  Level by level, so a term
+    of any depth is compared."""
+    level, pairs = 1, [(t, u)]
+    while True:
+        below = []
+        for x, y in pairs:
+            if x is y:
+                continue
+            if x is BOTTOM or y is BOTTOM or x.label != y.label:
+                return level
+            below.extend(zip(x.slots, y.slots))
+        level, pairs = level + 1, below
 
 
 def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .carriers import (Algebra, Coalgebra, initial_term_algebra,
+from .carriers import (Algebra, Coalgebra, _bottom_up, initial_term_algebra,
                        is_coalgebra_morphism, term_algebra_bounded)
 from .kernel import (BOTTOM, CONST, SHAPE, NatTransform, Node, const_sig,
                      is_bottom, nat_apply)
@@ -135,10 +135,11 @@ class ExpandedAlgebra:
 
 
 def _expand_term(mu: NatTransform, t):
-    if is_bottom(t):
-        return BOTTOM
-    return Node(mu.hom.apply(t.label),
-                tuple(_expand_term(mu, t.slots[i]) for i in mu.reindex))
+    """Relabel every node of a source term and reindex its slots, from the
+    leaves up."""
+    h, reindex = mu.hom.apply, mu.reindex
+    return _bottom_up(t, lambda: BOTTOM,
+                      lambda x, kids: Node(h(x.label), tuple(kids[i] for i in reindex)))
 
 
 def expand_algebra(mu: NatTransform, a: Algebra) -> ExpandedAlgebra:

@@ -99,6 +99,69 @@ def test_fold_sums_tree_labels():
     assert fold(sums, t) == 4
 
 
+# ---------------------------------------------------------------------------
+# walks that keep their own containers: the results of structural
+# recursion, at any depth
+
+DEEP = 1500  # above the default recursion limit of 1 000
+
+
+def _depth_by_recursion(t):
+    return 0 if is_bottom(t) else 1 + max(map(_depth_by_recursion, t.slots), default=0)
+
+
+def _truncate_by_recursion(t, n):
+    if is_bottom(t) or n <= 0:
+        return BOTTOM
+    return node(t.label, *(_truncate_by_recursion(s, n - 1) for s in t.slots))
+
+
+def _fold_by_recursion(b, t):
+    if is_bottom(t):
+        return b.alpha(BOTTOM)
+    return b.alpha(node(t.label, *(_fold_by_recursion(b, s) for s in t.slots)))
+
+
+def test_term_walks_agree_with_structural_recursion():
+    for sig, depth in ((H2, 2), (G1, 4), (shape_sig(BOOL_OR, 0), 1), (shape_sig(BOOL_OR, 3), 1)):
+        sizes = Algebra(sig, lambda v: 1 if is_bottom(v) else 1 + v.label + sum(v.slots))
+        for t in terms_up_to(sig, depth):
+            assert term_depth(t) == _depth_by_recursion(t)
+            assert fold(sizes, t) == _fold_by_recursion(sizes, t)
+            for n in range(-1, depth + 2):
+                assert truncate_term(t, n) is _truncate_by_recursion(t, n)
+
+
+def test_term_depth_of_a_deep_term():
+    assert term_depth(_numeral(DEEP)) == DEEP
+
+
+def test_truncate_term_of_a_deep_term():
+    deep = _numeral(DEEP)
+    assert truncate_term(deep, DEEP) is deep
+    assert truncate_term(deep, DEEP - 1) is _numeral(DEEP - 1)
+    assert truncate_term(deep, 3) is _numeral(3)
+
+
+def test_fold_of_a_deep_term():
+    nats = Algebra(F1, lambda v: 0 if is_bottom(v) else v.slots[0] + 1,
+                   tag="derived", name="nat")
+    assert fold(nats, _numeral(DEEP)) == DEEP
+
+
+def test_fold_evaluates_each_distinct_subterm_once():
+    # a perfect tree of depth 16 has 17 distinct subterms but 2^17 - 1 paths
+    sig = shape_sig(NAT_PLUS, 2)
+    perfect = BOTTOM
+    for _ in range(16):
+        perfect = node(1, perfect, perfect)
+    calls = []
+    sums = Algebra(sig, lambda v: calls.append(v) or (0 if is_bottom(v) else v.label + sum(v.slots)))
+    assert fold(sums, perfect) == 2 ** 16 - 1
+    assert len(calls) == 17
+    assert term_depth(perfect) == 16
+
+
 def test_fold_on_unique_morphism_out_of_terms():
     # every structure-respecting table out of an initial segment of terms is
     # the fold: enumerate all candidates and filter by the defining equation

@@ -187,6 +187,41 @@ def test_zip_const_is_monoid_op():
     assert zip_values(const_sig(BOOL_OR), 1, 0) == 1
 
 
+def _pair(x, y):
+    return (x, y)
+
+
+@pytest.mark.parametrize("f", [None, _pair], ids=["pairs", "f"])
+def test_zip_bottom_absorbs_on_either_side(f):
+    sig = shape_sig(BOOL_OR, 2)
+    for u, v in [(BOTTOM, node(1, "x", "y")), (node(1, "x", "y"), BOTTOM), (BOTTOM, BOTTOM)]:
+        assert zip_values(sig, u, v, f) is BOTTOM
+
+
+@pytest.mark.parametrize("f", [None, _pair], ids=["pairs", "f"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_zip_arity_mismatch_raises_on_either_argument(side, f):
+    sig = shape_sig(TRIV, 2)
+    good, bad = node("e", "x", "y"), node("e", "x")
+    u, v = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(ValueError, match=r"^arity mismatch: shape\(Triv,2\) vs node with 1 slots$"):
+        zip_values(sig, u, v, f)
+
+
+@pytest.mark.parametrize("f", [None, _pair], ids=["pairs", "f"])
+def test_zip_const_multiplies_labels(f):
+    assert zip_values(const_sig(BOOL_OR), 0, 1, f) == 1
+    assert zip_values(const_sig(TRUTH_AND), "T", "F", f) == "F"
+    assert zip_values(const_sig(NAT_PLUS), 2, 3, f) == 5
+
+
+def test_nat_plus_op_adds_naturals():
+    assert NAT_PLUS.op(0, 0) == 0
+    assert NAT_PLUS.op(2, 3) == 5
+    assert NAT_PLUS.op(NAT_PLUS.unit, 7) == 7
+    assert NAT_PLUS.op(2 ** 70, 1) == 2 ** 70 + 1
+
+
 def test_unit_values():
     assert unit_value(shape_sig(BOOL_OR, 2)) == node(0, STAR, STAR)
     assert unit_value(shape_sig(TRIV, 1)) == node("e", STAR)

@@ -152,6 +152,40 @@ def test_prune_adds_no_frame_per_level():
     assert phi.eval(shape, subject) is subject
 
 
+def test_prune_raises_key_error_for_an_unknown_state():
+    sig = shape_sig(NAT_PLUS, 2)
+    trees = initial_term_algebra(sig)
+    loop = coalgebra(sig, ("s",), {"s": node(0, "s", "s")}, "loop")
+    phi = canonical_term_measuring(loop, trees, trees)
+    assert phi.eval("s", BOTTOM) is BOTTOM
+    for t in (BOTTOM, node(1, BOTTOM, BOTTOM)):
+        with pytest.raises(KeyError):
+            phi.eval("t", t)
+
+
+def test_law_check_of_the_loop_prune_stays_within_its_heap_bound():
+    # the law check of tree_pruning's loop measuring at depth 2 (7 204
+    # instances): Python 3.11 reads a 0.91 MB peak, and 1.21 MB with a memo
+    # keyed by (state, term) tuples
+    import tracemalloc
+    sig = shape_sig(NAT_PLUS, 2)
+    trees = initial_term_algebra(sig)
+    loop = coalgebra(sig, ("s",), {"s": node(0, "s", "s")}, "loop")
+
+    def check():
+        return check_law(canonical_term_measuring(loop, trees, trees), depth=2)
+
+    check()  # the first run also grows the intern table
+    tracemalloc.start()
+    try:
+        report = check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 7204
+    assert peak < 1.05e6
+
+
 def test_eval_bottom_goes_to_bottom_image():
     l2 = term_algebra_bounded(G1, 2)
     zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 2), l2, l2)

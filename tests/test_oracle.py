@@ -364,14 +364,19 @@ def _confirmed(report, c, a):
 
 def test_decision_pins_an_instance_the_sampled_check_passed():
     # the DSL's former sample (5 targets of sizes 1 and 2, seed 2024) found
-    # exactly one measuring into each; T_k has none
+    # exactly one measuring into each; T_k has none.  The clashing terms
+    # first differ at level 3, so the witness names T3 (the solver counts 1,
+    # 1, 0, 0, 0 measurings into T1..T5), not T5, their larger depth
     c = coalgebra(F1, (0, 1, 2), {0: node("e", 2), 1: node("e", 0), 2: node("e", 1)}, "cyc")
     a = table_algebra(F1, (0, 1, 2), {BOTTOM: 2, node("e", 0): 0, node("e", 1): 0,
                                       node("e", 2): 1}, "A")
     report = decide_c_initial(c, a)
     assert report.status == "fails" and report.coverage == "exhaustive"
-    assert "clash; no measuring into T" in report.witnesses[0]
+    assert report.witnesses[0].endswith(
+        ": (e (e #b)) and (e (e (e (e (e #b))))) clash; no measuring into T3[shape(Triv,1)]")
     assert _confirmed(report, c, a)
+    assert [solve_measurings(c, a, term_algebra_bounded(F1, k)).count
+            for k in range(1, 6)] == [1, 1, 0, 0, 0]
     assert solve_measurings(c, a, term_algebra_bounded(F1, 4)).count == 0
     assert all(solve_measurings(c, a, b, keep=2).count == 1
                for b in random_algebras(F1, (1, 2), 5, seed=2024))

@@ -174,6 +174,12 @@ def test_expansion_of_lists_is_equilevel_trees():
     assert e.algebra.tag == "initial"
 
 
+def test_expansion_embeds_a_deep_term():
+    # 1 500 levels, above the default recursion limit of 1 000
+    e = expand_algebra(MU_LIST, initial_term_algebra(F1))
+    assert e.embed(_numeral(1500)) is _elist(1500)
+
+
 def test_expansion_embed_is_a_morphism_into_the_pullback():
     n2 = term_algebra_bounded(F1, 2)
     e = expand_algebra(MU_TREE, n2)
