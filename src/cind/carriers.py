@@ -23,15 +23,17 @@ from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV, _render,
 # terms
 
 
-def _levels(t):
+def _levels(t, stop=None):
     """The distinct terms at each level of a term, from the root down, bottom
-    included, in dicts used as ordered sets.  Plain containers, so the walks
-    built on it take a term of any depth, and a subterm shared within a
-    level is walked once."""
-    levels, below = [], {t: None}
-    while below:
+    included, in dicts used as ordered sets; only the first ``stop`` levels
+    when it is given.  Plain containers, so the walks built on it take a term
+    of any depth, and a subterm shared within a level is walked once."""
+    levels = [{t: None}]
+    while len(levels) != stop:
+        below = dict.fromkeys([s for x in levels[-1] if x is not BOTTOM for s in x.slots])
+        if not below:
+            break
         levels.append(below)
-        below = dict.fromkeys(s for x in below if x is not BOTTOM for s in x.slots)
     return levels
 
 
@@ -54,28 +56,20 @@ def term_depth(t) -> int:
 
 
 def truncate_term(t, n: int):
-    """Depth clamp: everything below level n becomes bottom.  Level by level
-    like ``_bottom_up``, but cut at level n, with plain lists and inlined, as
-    this is the bounded algebras' structure map.  A term that fits is
-    returned as it is, the one node equal to its rebuild."""
-    levels, below = [], [t]
-    for _ in range(n):
-        levels.append(below)
-        below = [s for x in below if x is not BOTTOM for s in x.slots]
-        if not below:
-            return t
-    if not [x for x in below if x is not BOTTOM]:
+    """Depth clamp: everything below level n becomes bottom.  A term that
+    fits is returned as it is.  Rebuilt over the first n of ``_levels`` one
+    level at a time, since what a subterm becomes depends on its level."""
+    if n <= 0:
+        return BOTTOM
+    levels = _levels(t, n)
+    if len(levels) < n or all(s is BOTTOM for x in levels[-1] if x is not BOTTOM for s in x.slots):
         return t
-    below = [BOTTOM] * len(below)
+    below = {}  # below level n - 1, every slot becomes bottom
     for level in reversed(levels):
-        if len(level) == 1:  # one node, as in a list: below holds its slots
-            below = [Node(level[0].label, tuple(below))]
-        else:
-            slots = iter(below)
-            below = [x if x is BOTTOM
-                     else Node(x.label, tuple(itertools.islice(slots, len(x.slots))))
-                     for x in level]
-    return below[0]
+        get = below.get
+        below = {x: x if x is BOTTOM else Node(x.label, tuple([get(s, BOTTOM) for s in x.slots]))
+                 for x in level}
+    return below[t]
 
 
 def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
