@@ -4,7 +4,7 @@ these along signature morphisms, with exhaustive desk-scale checkers."""
 
 from .kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                      TRUTH_OR, FunctorSig, Monoid, MonoidHom, NatTransform,
-                     Node, Report, collapse_hom, compose_nats,
+                     Node, Report, collapse_hom,
                      const_sig, finite_monoid, functor_map, fvalues, hom,
                      hom_check, identity_hom, identity_nat, is_bottom,
                      monoid_check, nat_apply, nat_check_lax, nat_transform,

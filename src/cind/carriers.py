@@ -15,8 +15,8 @@ from functools import partial
 from typing import Callable
 
 from .kernel import (BOTTOM, SHAPE, STAR, FunctorSig, Node, TRIV, _render,
-                     functor_map, is_bottom, _sample_labels, shape_sig,
-                     unit_value, zip_values)
+                     functor_map, fvalues, is_bottom, _sample_labels,
+                     shape_sig, unit_value, zip_values)
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +73,19 @@ def truncate_term(t, n: int):
 
 
 def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
-    """All terms of depth <= depth, bottom first, then by depth of creation."""
+    """All terms of depth <= depth, bottom first, then by depth of creation:
+    the stages of the initial chain bottom, F(bottom), F(F(bottom)), ...
+    (Adámek 1974), each the values ``fvalues`` lists over the stage before,
+    of which the new ones are kept."""
     if sig.kind != SHAPE:
         raise ValueError("terms exist over shape signatures only")
-    if labels is None:
-        if not sig.monoid.finite:
-            raise ValueError(f"{sig.monoid.name} is not enumerable; pass labels")
-        labels = sig.monoid.elements
-    out, last = [BOTTOM], 0  # out[last:] is the last layer
-    for level in range(depth):
-        old, new = out[:last], out[last:]
-        # the first layer takes every combination (nullary nodes have no
-        # children); a later one, those with a child from the last layer
-        layer = [Node(m, combo) for m in labels
-                 for combo in (itertools.product(out, repeat=sig.arity) if level == 0
-                               else _using(old, new, sig.arity))]
-        last = len(out)
-        out.extend(layer)
+    out = [BOTTOM]
+    for _ in range(depth):
+        known = set(map(id, out))  # equal terms are one object; ids hash in C
+        layer = [v for v in fvalues(sig, out, labels) if id(v) not in known]
         if not layer:
             break
+        out.extend(layer)
     return tuple(out)
 
 
@@ -100,16 +94,6 @@ def _term_segment(sig: FunctorSig, depth: int, labels=None):
     the labels ``_sample_labels`` picks: 0, 1, 2 for a builtin monoid."""
     labels, sampled = _sample_labels(sig.monoid, labels)
     return terms_up_to(sig, depth, labels), (f"terms of depth <= {depth}",) + sampled
-
-
-def _using(old, new, arity):
-    """The arity-tuples over old + new that use new, in lexicographic order:
-    an old entry followed by such a tuple, or a new entry followed by any."""
-    if arity == 0:
-        return iter(())
-    return itertools.chain(
-        ((x,) + rest for x in old for rest in _using(old, new, arity - 1)),
-        itertools.product(new, *[old + new] * (arity - 1)))
 
 
 def render_term(t) -> str:
@@ -285,8 +269,7 @@ def term_unfold_coalgebra(sig: FunctorSig, n: int, labels=None, name: str = "") 
 
 def shape_coalgebra(sig: FunctorSig, n: int) -> Coalgebra:
     """All unit-labelled shapes of depth <= n, unfolding into subshapes."""
-    states = terms_up_to(sig, n, labels=(sig.monoid.unit,))
-    return Coalgebra(sig, states, {t: t for t in states}, name=f"shapes{n}")
+    return term_unfold_coalgebra(sig, n, (sig.monoid.unit,), f"shapes{n}")
 
 
 def term_as_coalgebra(sig: FunctorSig, t, name: str = "") -> Coalgebra:

@@ -20,22 +20,27 @@ from . import dsl, gallery, kernel, oracle
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("CIND_BUDGET")
-    if env is None:
-        return oracle.DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        print(f"cind: CIND_BUDGET must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(2) from None
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("CIND_BUDGET")
+        if env is None:
+            return oracle.DEFAULT_BUDGET
+        try:
+            budget, source = int(env), "CIND_BUDGET"
+        except ValueError:
+            print(f"cind: CIND_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            raise SystemExit(2) from None
+    if budget < 0:
+        print(f"cind: {source} must not be negative, got {budget}", file=sys.stderr)
+        raise SystemExit(2)
+    return budget
 
 
 def cmd_check(args, out) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cind: {exc}", file=sys.stderr)
         return 2
     try:

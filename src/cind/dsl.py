@@ -29,7 +29,8 @@ class DslError(Exception):
     def __init__(self, message, line=0, col=0, expected=()):
         self.line, self.col, self.expected = line, col, tuple(expected)
         extra = f" (expected: {', '.join(sorted(self.expected))})" if expected else ""
-        super().__init__(f"{line}:{col}: {message}{extra}")
+        where = f"{line}:{col}: " if line else ""  # lines count from 1
+        super().__init__(f"{where}{message}{extra}")
 
 
 # ---------------------------------------------------------------------------

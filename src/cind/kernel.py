@@ -264,16 +264,6 @@ def collapse_hom(source: Monoid) -> MonoidHom:
     return MonoidHom(source, TRIV, lambda x: "e")
 
 
-def compose_homs(outer: MonoidHom, inner: MonoidHom) -> MonoidHom:
-    """outer after inner."""
-    if inner.target is not outer.source:
-        raise ValueError("hom composition endpoint mismatch")
-    if not callable(inner.mapping):
-        return MonoidHom(inner.source, outer.target,
-                         {x: outer.apply(v) for x, v in inner.mapping.items()})
-    return MonoidHom(inner.source, outer.target, lambda x: outer.apply(inner.apply(x)))
-
-
 def hom_check(h: MonoidHom, budget: int = 1000) -> Report:
     """Check unit preservation and multiplicativity on enumerated pairs."""
     xs = h.source.elements if h.source.finite else h.source.sample(max(2, int(budget ** 0.5)))
@@ -553,28 +543,6 @@ def nat_apply(mu: NatTransform, v):
         return BOTTOM
     _check_node(mu.source, v)
     return Node(mu.hom.apply(v.label), tuple(v.slots[i] for i in mu.reindex))
-
-
-def compose_nats(outer: NatTransform, inner: NatTransform) -> NatTransform:
-    """outer after inner (apply inner first)."""
-    if inner.target != outer.source:
-        raise ValueError("signature morphism composition endpoint mismatch")
-    h = compose_homs(outer.hom, inner.hom)
-    r = None
-    if inner.source.kind == SHAPE:
-        r = tuple(inner.reindex[j] for j in outer.reindex)
-    return NatTransform(inner.source, outer.target, h, r,
-                        name=f"{outer.name}.{inner.name}" if outer.name and inner.name else "")
-
-
-def nats_equal(a: NatTransform, b: NatTransform, label_sample=(0, 1, 2)) -> bool:
-    """Pointwise equality of two morphisms (sampled labels for builtin monoids)."""
-    if a.source != b.source or a.target != b.target:
-        return False
-    if a.reindex != b.reindex:
-        return False
-    labels = a.source.monoid.elements or label_sample
-    return all(a.hom.apply(x) == b.hom.apply(x) for x in labels)
 
 
 def nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),

@@ -14,9 +14,8 @@ from typing import Callable
 
 from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
                        unit_coalgebra)
-from .kernel import (CONST, NatTransform, Report, compose_nats, coverage_of,
-                     fvalues, identity_nat, nats_equal, _sample_labels,
-                     unit_value, zip_values)
+from .kernel import (CONST, NatTransform, Report, coverage_of, fvalues,
+                     nat_apply, _sample_labels, unit_value, zip_values)
 from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
                         pushout_algebra, restrict_coalgebra)
 
@@ -209,8 +208,17 @@ def to_morphism(phi: Measuring):
 def embed_measuring(nu: NatTransform, mu: NatTransform, phi: Measuring,
                     verify: bool = True, depth: int = 2, labels=None) -> Measuring:
     """Retype a measuring across a split pair of morphisms (nu . mu = id):
-    the map is unchanged, fuel is pushed forward, both algebras pulled back."""
-    if not nats_equal(compose_nats(nu, mu), identity_nat(mu.source)):
+    the map is unchanged, fuel is pushed forward, both algebras pulled back.
+
+    The pair counts as split when nu . mu is the identity on every value
+    whose slots hold their own positions, which pins both the labels and the
+    slot reindexing.  Over a builtin monoid the test samples the labels 0, 1
+    and 2 only.
+    """
+    split_labels, _ = _sample_labels(mu.source.monoid)
+    if (nu.source != mu.target or nu.target != mu.source
+            or any(nat_apply(nu, nat_apply(mu, v)) != v
+                   for v in fvalues(mu.source, range(mu.source.arity), split_labels))):
         raise ValueError("embedding needs a split pair: nu . mu must be the identity")
     out = Measuring(pushforward_coalgebra(mu, phi.coalg),
                     pullback_algebra(nu, phi.source),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .carriers import (Algebra, Coalgebra, _bottom_up, initial_term_algebra,
+from .carriers import (Algebra, Coalgebra, fold, initial_term_algebra,
                        is_coalgebra_morphism, term_algebra_bounded)
 from .kernel import (BOTTOM, CONST, SHAPE, NatTransform, Node, const_sig,
                      is_bottom, nat_apply)
@@ -131,15 +131,9 @@ class ExpandedAlgebra:
     algebra: Algebra
 
     def embed(self, t):
-        return _expand_term(self.nat, t)
-
-
-def _expand_term(mu: NatTransform, t):
-    """Relabel every node of a source term and reindex its slots, from the
-    leaves up."""
-    h, reindex = mu.hom.apply, mu.reindex
-    return _bottom_up(t, lambda: BOTTOM,
-                      lambda x, kids: Node(h(x.label), tuple(kids[i] for i in reindex)))
+        """Fold the term into the target's initial term algebra pulled back
+        along the morphism: each node is relabelled and its slots reindexed."""
+        return fold(pullback_algebra(self.nat, initial_term_algebra(self.nat.target)), t)
 
 
 def expand_algebra(mu: NatTransform, a: Algebra) -> ExpandedAlgebra:

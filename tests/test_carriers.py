@@ -9,7 +9,8 @@ from cind.carriers import (Algebra, coalgebra, coalgebras_identical, fold,
                            term_depth, term_unfold_coalgebra, terms_up_to,
                            truncate_term, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, const_sig,
-                         functor_map, fvalues, is_bottom, node, shape_sig)
+                         finite_monoid, functor_map, fvalues, is_bottom, node,
+                         shape_sig)
 from cind.measuring import check_law, from_morphism
 
 F1 = shape_sig(TRIV, 1)
@@ -69,6 +70,46 @@ def test_bounded_carrier_sizes():
     # depth <= 2 binary trees over a two-element label set
     assert len(term_algebra_bounded(H2, 2).elements) == 19
     assert len(term_algebra_bounded(shape_sig(BOOL_OR, 0), 1).elements) == 3
+
+
+def _terms_by_layers(arity, depth, labels):
+    """Reference enumerator: a later layer takes, per label, the arity-tuples
+    over the terms so far that use a term of the last layer, in
+    lexicographic order."""
+    def using(old, new, arity):
+        if arity == 0:
+            return iter(())
+        return itertools.chain(
+            ((x,) + rest for x in old for rest in using(old, new, arity - 1)),
+            itertools.product(new, *[old + new] * (arity - 1)))
+
+    out, last = [BOTTOM], 0
+    for level in range(depth):
+        old, new = out[:last], out[last:]
+        layer = [node(m, *combo) for m in labels
+                 for combo in (itertools.product(out, repeat=arity) if level == 0
+                               else using(old, new, arity))]
+        last = len(out)
+        out.extend(layer)
+        if not layer:
+            break
+    return tuple(out)
+
+
+def test_terms_up_to_agrees_with_a_layered_enumerator():
+    max3 = finite_monoid("Max3", (0, 1, 2), max, 0)
+    cases = [(max3, labels) for labels in (None, (0, 1, 2), (2, 1, 0), (0, 1), (1,))]
+    cases += [(BOOL_OR, None), (BOOL_OR, (1, 0)), (NAT_PLUS, (0, 1, 2))]
+    cap = 3000  # terms per case
+    for monoid, labels in cases:
+        listed = monoid.elements if labels is None else labels
+        for arity in range(4):
+            sig, size = shape_sig(monoid, arity), 1
+            for depth in range(6):
+                assert terms_up_to(sig, depth, labels) == _terms_by_layers(arity, depth, listed)
+                size = 1 + len(listed) * size ** arity  # terms of depth <= depth + 1
+                if size > cap:
+                    break
 
 
 def test_truncate_idempotent_and_fold_agrees():

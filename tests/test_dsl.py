@@ -296,6 +296,14 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_check_of_a_script_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.cind"
+    bad.write_bytes(b"monoid B = table {0, 1} max 0 # \xff\n")
+    code, _ = _main(["check", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("cind: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_cli_budget_exit_code(capsys):
     path = str(FIXTURE_DIR / "nat_as_lists.cind")
     code, _ = _main(["check", path], env={"CIND_BUDGET": "1"})
@@ -305,6 +313,14 @@ def test_cli_budget_exit_code(capsys):
     code, _ = _main(["check", path], env={"CIND_BUDGET": "abc"})
     assert code == 2
     assert "cind: CIND_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+    code, _ = _main(["check", path, "--budget", "-5"])
+    assert code == 2
+    assert "cind: --budget must not be negative, got -5" in capsys.readouterr().err
+    code, _ = _main(["check", path], env={"CIND_BUDGET": "-5"})
+    assert code == 2
+    assert "cind: CIND_BUDGET must not be negative, got -5" in capsys.readouterr().err
+    code, _ = _main(["check", path, "--budget", "0"])
+    assert code == 3
 
 
 def test_cli_demo_prune_clauses():
@@ -337,11 +353,16 @@ def test_cli_demo_prune_of_a_deep_shape():
     assert code == 0 and text.strip() == "(2 #b #b)"
 
 
-def test_cli_demo_prune_rejects_bad_terms():
+def test_cli_demo_prune_rejects_bad_terms(capsys):
     code, _ = _main(["demo", "prune", "--shape", "(0 #b", "--tree", "#b"])
     assert code == 2
-    code, _ = _main(["demo", "prune", "--shape", "(e #b #b)", "--tree", "#b"])
-    assert code == 2
+    assert capsys.readouterr().err.startswith("cind: parse error: 1:6: ")
+    # a term of the wrong form has no position in the text, so none is printed
+    for shape, tree, which in (("(e #b #b)", "#b", "shape"), ("(0 #b #b)", "(5 #b)", "tree")):
+        code, _ = _main(["demo", "prune", "--shape", shape, "--tree", tree])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"cind: parse error: {which} must be a binary tree with natural-number labels\n")
 
 
 def test_cli_gallery_unknown_name():

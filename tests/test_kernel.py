@@ -7,7 +7,7 @@ import pytest
 from cind import kernel
 from cind.carriers import render_term, render_value
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
-                         TRUTH_OR, collapse_hom, compose_nats, finite_monoid,
+                         TRUTH_OR, collapse_hom, finite_monoid,
                          functor_map, fvalues, hom, hom_check, identity_hom,
                          identity_nat, is_bottom, monoid_check, nat_apply,
                          nat_check_lax, nat_transform, node, shape_sig,
@@ -318,11 +318,3 @@ def test_builtin_carrier_declines_enumeration():
     assert sampled == ("terms of depth <= 2", "labels 0, 1") and len(elems) == 7
     assert bounded.alpha(node(7, node(9, BOTTOM))) == node(7, node(9, BOTTOM))
 
-
-def test_compose_nats_reindex():
-    dup = _doubling()
-    swap = nat_transform(shape_sig(BOOL_OR, 2), shape_sig(BOOL_OR, 2),
-                         identity_hom(BOOL_OR), (1, 0), name="swap")
-    both = compose_nats(swap, dup)
-    assert nat_apply(both, node("e", "x")) == node(0, "x", "x")
-    assert both.reindex == (0, 0)

@@ -347,11 +347,26 @@ def test_embed_with_identity_pair_is_identity():
 
 
 def test_embed_requires_a_split_pair():
-    with pytest.raises(ValueError):
-        embed_measuring(MU_LIST, NU_LIST,
-                        canonical_term_measuring(term_unfold_coalgebra(G1, 1),
-                                                 term_algebra_bounded(G1, 1),
-                                                 term_algebra_bounded(G1, 1)))
+    def prune(sig):
+        return canonical_term_measuring(term_unfold_coalgebra(sig, 1),
+                                        term_algebra_bounded(sig, 1),
+                                        term_algebra_bounded(sig, 1))
+
+    swap = nat_transform(H2, H2, identity_hom(BOOL_OR), (1, 0), name="swap")
+    unsplit = [
+        (MU_LIST, NU_LIST, prune(G1)),  # labels do not round-trip
+        (identity_nat(H2), swap, prune(H2)),  # labels do, the slots do not
+        (identity_nat(F1), MU_LIST, prune(F1)),  # endpoints do not meet
+    ]
+    for nu, mu, phi in unsplit:
+        with pytest.raises(ValueError, match="split pair"):
+            embed_measuring(nu, mu, phi)
+    # over a builtin monoid the test samples the labels, and passes the identity
+    nat = shape_sig(NAT_PLUS, 1)
+    fuel = term_as_coalgebra(nat, node(0, node(1, BOTTOM)))
+    lists = initial_term_algebra(nat)
+    phi = canonical_term_measuring(fuel, lists, lists)
+    assert embed_measuring(identity_nat(nat), identity_nat(nat), phi).rule is phi.rule
 
 
 def test_push_list_zip_prunes_and_relabels():
