@@ -23,8 +23,7 @@ from .transport import (AdjointUnsupportedError, ExpandedAlgebra,
                         pushout_algebra, pushout_transpose,
                         pushout_untranspose, restrict_coalgebra,
                         restriction_inclusion, restriction_untranspose)
-from .measuring import (Measuring, MeasuringLawError,
-                        canonical_const_measuring, canonical_term_measuring,
+from .measuring import (Measuring, canonical_const_measuring, canonical_term_measuring,
                         check_law, compose, embed_measuring, from_morphism,
                         measuring_to_json, measurings_equal, pull_measuring,
                         push_measuring, table_measuring, to_morphism)

@@ -72,15 +72,25 @@ def truncate_term(t, n: int):
     return below[t]
 
 
+MAX_TERMS = 10 ** 5  # the most terms a stage of ``terms_up_to`` may hold
+
+
 def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
     """All terms of depth <= depth, bottom first, then by depth of creation:
     the stages of the initial chain bottom, F(bottom), F(F(bottom)), ...
     (Adámek 1974), each the values ``fvalues`` lists over the stage before,
-    of which the new ones are kept."""
+    of which the new ones are kept.  A stage of more than ``MAX_TERMS``
+    terms raises ``ValueError`` before it is built: after a stage of s terms
+    comes one of 1 + |labels|·s^arity, which outgrows memory within a few."""
     if sig.kind != SHAPE:
         raise ValueError("terms exist over shape signatures only")
+    n_labels = len(sig.monoid.elements or ()) if labels is None else len(labels)
     out = [BOTTOM]
-    for _ in range(depth):
+    for k in range(1, depth + 1):
+        size = 1 + n_labels * len(out) ** sig.arity
+        if size > MAX_TERMS:
+            raise ValueError(f"the terms of depth <= {k} over {sig!r} number {size}, "
+                             f"more than {MAX_TERMS}")
         known = set(map(id, out))  # equal terms are one object; ids hash in C
         layer = [v for v in fvalues(sig, out, labels) if id(v) not in known]
         if not layer:

@@ -15,6 +15,7 @@ builder, solving the measures and executing the checks.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -553,14 +554,12 @@ def print_script(script: Script) -> str:
 # ---------------------------------------------------------------------------
 # execution
 
-_OPS = {
-    "max": max,
-    "min": min,
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "or": lambda a, b: a or b,
-    "and": lambda a, b: a and b,
-}
+# table op name -> the operation, given the declared unit; under or/and the
+# unit is neutral and the other element wins, so on {0, 1} ``or 0`` is
+# disjunction and ``and 1`` conjunction, as on {T, F} ``or F`` and ``and T``
+_OPS = {"max": lambda _: max, "min": lambda _: min, "add": lambda _: operator.add,
+        "mul": lambda _: operator.mul, "or": lambda unit: lambda a, b: b if a == unit else a}
+_OPS["and"] = _OPS["or"]
 
 _BUILTIN_MONOIDS = {
     "nat": kernel.NAT_PLUS,
@@ -582,7 +581,11 @@ def _monoid(d: MonoidDecl) -> kernel.Monoid:
     _, elems, opname, unit = d.body
     if opname not in _OPS:
         raise ValueError(f"unknown table op {opname!r}")
-    return kernel.finite_monoid(d.name, elems, _OPS[opname], unit)
+    m = kernel.finite_monoid(d.name, elems, _OPS[opname](unit), unit)
+    report = kernel.monoid_check(m, len(elems) ** 3)  # every triple
+    if not report.ok:
+        raise ValueError(f"{d.name} is not a monoid: {report.witnesses[0]}")
+    return m
 
 
 def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
@@ -599,7 +602,10 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
             if isinstance(d, MonoidDecl):
                 env[d.name] = _monoid(d)
             elif isinstance(d, HomDecl):
-                env[d.name] = kernel.hom(env[d.src], env[d.dst], dict(d.pairs), name=d.name)
+                h = env[d.name] = kernel.hom(env[d.src], env[d.dst], dict(d.pairs), name=d.name)
+                # a hom out of builtin nat maps only the labels it lists
+                if h.source.finite and not (report := kernel.hom_check(h)).ok:
+                    raise ValueError(f"hom {d.name} is not a homomorphism: {report.witnesses[0]}")
             elif isinstance(d, NatDecl):
                 reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
                 env[d.name] = kernel.nat_transform(

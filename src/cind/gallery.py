@@ -77,7 +77,7 @@ def build_nat_as_lists(budget: int = DEFAULT_BUDGET) -> Fixture:
 def build_truth_monoid(budget: int = DEFAULT_BUDGET) -> Fixture:
     ca = const_sig(TRUTH_AND)
     co = const_sig(TRUTH_OR)
-    flip = hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}, inverse={"T": "F", "F": "T"})
+    flip = hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"})
     mu = nat_transform(ca, co, flip, name="flip")
 
     a3 = finite_algebra(ca, ("ta", "fa", "other"),

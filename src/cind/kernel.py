@@ -190,8 +190,10 @@ class MonoidHom:
     """Total map between monoid carriers, expected to preserve op and unit.
 
     ``mapping`` is a dict for finite sources or a callable for the builtin
-    carrier; ``inverse`` (when given) witnesses injectivity and is required
-    by the operations that invert labels.
+    carrier.  ``inverse`` maps each image label back to its source label:
+    derived from a dict mapping, None when it is not injective, and an
+    inverse passed in must agree; a callable mapping needs a callable
+    inverse passed in for the operations that invert labels.
     """
 
     source: Monoid
@@ -200,36 +202,36 @@ class MonoidHom:
     inverse: Any = None
     name: str = ""
 
+    def __post_init__(self):
+        if callable(self.mapping):
+            return
+        inverse = {y: x for x, y in self.mapping.items()}
+        inverse = inverse if len(inverse) == len(self.mapping) else None  # not injective
+        given = self.inverse.get if isinstance(self.inverse, dict) else self.inverse
+        if given is not None and (inverse is None or any(
+                given(y) != inverse.get(y) for y in self.target.elements or inverse)):
+            raise ValueError(f"{self}: the given inverse disagrees with the mapping")
+        object.__setattr__(self, "inverse", inverse)
+
+    def __str__(self):
+        named = f"{self.name} : " if self.name else ""
+        return f"hom {named}{self.source.name} -> {self.target.name}"
+
     def apply(self, x):
         if callable(self.mapping):
             return self.mapping(x)
         try:
             return self.mapping[x]
         except KeyError:
-            named = f"{self.name} : " if self.name else ""
-            raise ValueError(f"hom {named}{self.source.name} -> {self.target.name} "
-                             f"does not map the label {x!r}") from None
+            raise ValueError(f"{self} does not map the label {x!r}") from None
 
     def preimage(self, y):
-        """Unique source label mapping to y, or None when y is outside the image."""
-        if self.inverse is not None:
-            if callable(self.inverse):
-                return self.inverse(y)
-            return self.inverse.get(y)
-        if callable(self.mapping):
-            raise ValueError(f"hom {self.source.name}->{self.target.name} has no inverse data")
-        inv = {}
-        for k, v in self.mapping.items():
-            if v in inv:
-                return None  # not injective: no unique preimage
-            inv[v] = k
-        return inv.get(y)
+        """Unique source label mapping to y, or None where there is none."""
+        inv = self.inverse
+        return None if inv is None else inv(y) if callable(inv) else inv.get(y)
 
     def is_injective(self) -> bool:
-        if callable(self.mapping):
-            return self.inverse is not None
-        vals = list(self.mapping.values())
-        return len(set(vals)) == len(vals)
+        return self.inverse is not None
 
 
 def hom(source: Monoid, target: Monoid, mapping, inverse=None, name="") -> MonoidHom:

@@ -10,18 +10,14 @@ one-state unit machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
-from .carriers import (Algebra, Coalgebra, render_value, tensor_coalgebra,
-                       unit_coalgebra)
+from .carriers import Algebra, Coalgebra, render_value, tensor_coalgebra, unit_coalgebra
 from .kernel import (CONST, NatTransform, Report, coverage_of, fvalues,
                      nat_apply, _sample_labels, unit_value, zip_values)
 from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
                         pushout_algebra, restrict_coalgebra)
-
-
-class MeasuringLawError(ValueError):
-    """Raised when a construction requires lawfulness and the check fails."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,31 +58,27 @@ def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") 
 # the defining law
 
 
-def _law_mismatches(rule, coalg, source, target, values, limit):
+def _law_mismatches(phi: Measuring, values):
     """Yield (state, value, got, expected) wherever the one-step law fails;
-    ``values`` are the (value, source.alpha(value)) pairs to check and
-    ``rule`` is the measuring's map, called directly."""
-    found = 0
-    sig, alpha = source.sig, target.alpha
-    for c in coalg.states:
-        chi_c = coalg.chi[c]
+    ``values`` are the (value, source.alpha(value)) pairs to check and the
+    measuring's map is called directly."""
+    rule, chi, sig, alpha = phi.rule, phi.coalg.chi, phi.source.sig, phi.target.alpha
+    for c in phi.coalg.states:
+        chi_c = chi[c]
         for v, out in values:
             lhs = rule(c, out)
             rhs = alpha(zip_values(sig, chi_c, v, rule))
             if lhs != rhs:
                 yield (c, v, lhs, rhs)
-                found += 1
-                if found >= limit:
-                    return
 
 
 def _source_domain(phi: Measuring, depth: int, labels):
-    """(source elements, labels, what was sampled): the whole carrier or an
-    initial segment, and the labels the signature values run over."""
+    """(source elements, labels, what was sampled or None): the whole carrier
+    or an initial segment, and the labels the signature values run over."""
     elems, sampled = phi.source.carrier(depth, labels)
     monoid = phi.source.sig.monoid  # labels sample a builtin monoid only
     labels, listed = _sample_labels(monoid, None if monoid.finite else labels)
-    return elems, labels, list(dict.fromkeys(sampled + listed))
+    return elems, labels, "; ".join(dict.fromkeys(sampled + listed)) or None
 
 
 def check_law(phi: Measuring, depth: int = 3, labels=None,
@@ -95,25 +87,21 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
     violations (state, value, got, expected) are the report's witnesses.
 
     ``depth`` bounds the enumeration for term carriers with no finite
-    enumeration; ``labels`` samples the label universe for builtin monoids;
-    ``budget`` bounds the (state, value) instances checked.  The report is
-    sampled when any of the three cut the enumeration short.
+    enumeration, and ``labels`` samples the label universe for builtin
+    monoids; the report is sampled when either cuts the enumeration short.
+    ``budget`` bounds the (state, value) instances: past it the check
+    evaluates nothing and its status is budget.
     """
     if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
         raise ValueError("measuring endpoints live over different signatures")
     elems, labels, sampled = _source_domain(phi, depth, labels)
-    values = [(v, phi.source.alpha(v)) for v in fvalues(phi.source.sig, elems, labels)]
-    n_values = len(values)
-    coalg = phi.coalg
-    if budget is not None and len(coalg.states) * n_values > budget:
-        keep = coalg.states[:max(1, budget // max(1, n_values))]
-        sampled.append(f"{len(keep)} of {len(coalg.states)} fuel states")
-        coalg = Coalgebra(coalg.sig, keep, {s: coalg.chi[s] for s in keep})
-    violations = _law_mismatches(phi.rule, coalg, phi.source, phi.target,
-                                 values, max_witnesses)
-    return Report.of("law", phi.name, violations,
-                     checked=len(coalg.states) * n_values,
-                     sampled="; ".join(sampled) or None)
+    values = fvalues(phi.source.sig, elems, labels)
+    checked = len(phi.coalg.states) * len(values)
+    if budget is not None and checked > budget:
+        return Report.of("law", phi.name, ran_out=True, sampled=sampled)
+    alpha = phi.source.alpha
+    violations = islice(_law_mismatches(phi, [(v, alpha(v)) for v in values]), max_witnesses)
+    return Report.of("law", phi.name, violations, checked=checked, sampled=sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +165,12 @@ def compose(psi: Measuring, phi: Measuring, name="") -> Measuring:
                      name=name or f"{psi.name}.{phi.name}")
 
 
-def from_morphism(f, a: Algebra, b: Algebra, depth: int = 3, labels=None,
-                  verify: bool = True, name="") -> Measuring:
-    """View an algebra morphism as a measuring by the unit machine."""
-    unit = unit_coalgebra(a.sig)
+def from_morphism(f, a: Algebra, b: Algebra, name="") -> Measuring:
+    """View an algebra morphism as a measuring by the unit machine; whether f
+    is a morphism is ``check_law``'s to say."""
     g = f.__getitem__ if isinstance(f, dict) else f
-    phi = Measuring(unit, a, b, rule=lambda c, x: g(x), name=name or "morphism")
-    if verify:
-        report = check_law(phi, depth, labels)
-        if not report.ok:
-            raise MeasuringLawError(f"not an algebra morphism: {report.violations[:3]!r}")
-    return phi
+    return Measuring(unit_coalgebra(a.sig), a, b, rule=lambda c, x: g(x),
+                     name=name or "morphism")
 
 
 def to_morphism(phi: Measuring):
@@ -205,30 +188,24 @@ def to_morphism(phi: Measuring):
 # measuring transport
 
 
-def embed_measuring(nu: NatTransform, mu: NatTransform, phi: Measuring,
-                    verify: bool = True, depth: int = 2, labels=None) -> Measuring:
+def embed_measuring(nu: NatTransform, mu: NatTransform, phi: Measuring) -> Measuring:
     """Retype a measuring across a split pair of morphisms (nu . mu = id):
     the map is unchanged, fuel is pushed forward, both algebras pulled back.
 
     The pair counts as split when nu . mu is the identity on every value
     whose slots hold their own positions, which pins both the labels and the
     slot reindexing.  Over a builtin monoid the test samples the labels 0, 1
-    and 2 only.
+    and 2 only.  Whether the result is lawful is ``check_law``'s to say.
     """
     split_labels, _ = _sample_labels(mu.source.monoid)
     if (nu.source != mu.target or nu.target != mu.source
             or any(nat_apply(nu, nat_apply(mu, v)) != v
                    for v in fvalues(mu.source, range(mu.source.arity), split_labels))):
         raise ValueError("embedding needs a split pair: nu . mu must be the identity")
-    out = Measuring(pushforward_coalgebra(mu, phi.coalg),
-                    pullback_algebra(nu, phi.source),
-                    pullback_algebra(nu, phi.target),
-                    phi.rule, name=f"embed[{phi.name}]")
-    if verify:
-        report = check_law(out, depth, labels)
-        if not report.ok:
-            raise MeasuringLawError(f"embedded measuring broke the law: {report.violations[:3]!r}")
-    return out
+    return Measuring(pushforward_coalgebra(mu, phi.coalg),
+                     pullback_algebra(nu, phi.source),
+                     pullback_algebra(nu, phi.target),
+                     phi.rule, name=f"embed[{phi.name}]")
 
 
 def push_measuring(mu: NatTransform, phi: Measuring) -> Measuring:
@@ -305,4 +282,4 @@ def measuring_to_json(phi: Measuring, depth: int = 3, labels=None) -> dict:
             for c in phi.coalg.states for a in elems]
     return {"coalgebra": phi.coalg.name, "source": phi.source.name,
             "target": phi.target.name,
-            "coverage": coverage_of("; ".join(sampled) or None), "table": rows}
+            "coverage": coverage_of(sampled), "table": rows}

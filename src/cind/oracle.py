@@ -63,12 +63,7 @@ class _Structure:
     """
 
     def __init__(self, c: Coalgebra, a: Algebra):
-        if not a.sig.monoid.finite:
-            raise ValueError(f"{a.sig.monoid.name} is not enumerable; the solver needs finite labels")
-        if a.elements is None:
-            raise ValueError("solver needs an enumerable source carrier")
-        if c.sig != a.sig:
-            raise ValueError("signature mismatch between fuel and source")
+        _build_size(c, a)  # rejects what the solver cannot take
         self.coalg, self.algebra = c, a
         self.states, self.elems = c.states, a.elements
         sig, labels = a.sig, a.sig.monoid.elements
@@ -133,11 +128,6 @@ class _Structure:
         other cells are counted by the same search.  The budget bounds
         propagation steps, branches and kept tables together.
         """
-        if b.elements is None:
-            raise ValueError("solver needs a finite target carrier")
-        if b.sig != self.algebra.sig:
-            raise ValueError(
-                f"signature mismatch: target over {b.sig!r}, source over {self.algebra.sig!r}")
         constraints, by_dep = self.constraints, self.by_dep
         sig, labels = b.sig, b.sig.monoid.elements
         targets = b.elements
@@ -252,12 +242,34 @@ class _Structure:
                                len(solutions) + more)
 
 
+def _build_size(c: Coalgebra, a: Algebra) -> int:
+    """|C|·|F(A)|, the most constraints ``_Structure(c, a)`` builds; raises
+    ``ValueError`` where the solver cannot take (c, a)."""
+    labels = a.sig.monoid.elements
+    if labels is None:
+        raise ValueError(f"{a.sig.monoid.name} is not enumerable; the solver needs finite labels")
+    if a.elements is None:
+        raise ValueError("solver needs an enumerable source carrier")
+    if c.sig != a.sig:
+        raise ValueError("signature mismatch between fuel and source")
+    if a.sig.kind == CONST:
+        return len(c.states) * len(labels)
+    return len(c.states) * (1 + len(labels) * len(a.elements) ** a.sig.arity)
+
+
 def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,
                      budget: int = DEFAULT_BUDGET, keep: int | None = None) -> SolveResult:
     """Count the maps (state, element) -> target element satisfying the
     measuring law, keeping the first ``keep`` of them (all when None), by
     constraint propagation with backtracking on the cells the law leaves
-    free."""
+    free.  A structure build larger than the budget is not started."""
+    size = _build_size(c, a)
+    if b.elements is None:
+        raise ValueError("solver needs a finite target carrier")
+    if b.sig != a.sig:
+        raise ValueError(f"signature mismatch: target over {b.sig!r}, source over {a.sig!r}")
+    if size > budget:
+        return SolveResult((), False, 0, 0)
     return _Structure(c, a).solve(b, budget, keep)
 
 
@@ -354,7 +366,10 @@ def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> 
     constant algebra, at a cell no constraint defines.  There is one, as a
     is finite: under fuel with no infinite path an empty cell leads down to
     one, and an infinite path makes the orbit of alpha(bottom) clash first,
-    its terms growing a level a step."""
+    its terms growing a level a step.  A structure build larger than the
+    budget is not started."""
+    if _build_size(c, a) > budget:
+        return Report.of("c-initial", f"{c.name} (x) {a.name}", ran_out=True)
     s = _Structure(c, a)
     sig, labels = a.sig, a.sig.monoid.elements
     cells = [(st, e) for st in s.states for e in s.elems]
@@ -435,8 +450,7 @@ def check_respects_composition(kind: str, instances, depth: int = 3) -> Report:
     source carriers are sampled as their enumerator says: terms up to
     ``depth``, over the labels 0, 1, 2 for a builtin monoid.
     """
-    transports = {"embed": partial(embed_measuring, verify=False),
-                  "push": push_measuring, "pull": pull_measuring}
+    transports = {"embed": embed_measuring, "push": push_measuring, "pull": pull_measuring}
     if kind not in transports:
         raise ValueError(f"unknown transport kind {kind!r}")
     witnesses = []

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cind import carriers
 from cind.carriers import (Algebra, coalgebra, coalgebras_identical, fold,
                            initial_term_algebra, nat_counter, perfect_shape,
                            render_term, shape_coalgebra, tensor_coalgebra,
@@ -110,6 +111,25 @@ def test_terms_up_to_agrees_with_a_layered_enumerator():
                 size = 1 + len(listed) * size ** arity  # terms of depth <= depth + 1
                 if size > cap:
                     break
+
+
+def test_terms_up_to_refuses_a_stage_past_the_bound_before_building_it(monkeypatch):
+    import tracemalloc
+    trees = shape_sig(BOOL_OR, 2)  # stages of 1, 3, 19, 723, then 1 045 459 terms
+    assert len(terms_up_to(trees, 3)) == 723
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth <= 4 .* number 1045459"):
+            term_algebra_bounded(trees, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # stage 4 would take hundreds of MB
+    # a stage of exactly the bound is built
+    monkeypatch.setattr(carriers, "MAX_TERMS", 19)
+    assert len(terms_up_to(trees, 2)) == 19
+    with pytest.raises(ValueError, match="number 723, more than 19"):
+        terms_up_to(trees, 3)
 
 
 def test_truncate_idempotent_and_fold_agrees():
@@ -336,7 +356,7 @@ def test_morphism_checks():
     bounded = term_algebra_bounded(F1, 2)
     f = {t: min(fold(nats, t), 9) for t in bounded.elements}
     # saturation breaks it
-    assert not check_law(from_morphism(f, bounded, nats, verify=False)).ok
+    assert not check_law(from_morphism(f, bounded, nats)).ok
     g = {i: min(i + 1, 2) for i in range(3)}
     two = nat_counter(2)
     assert not coalgebras_identical(two, nat_counter(3))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cind import cli, dsl
+from cind import cli, dsl, oracle
 from cind.kernel import BOTTOM, node
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "cind" / "fixtures"
@@ -605,6 +605,26 @@ def test_cli_label_over_builtin_nat_must_be_a_natural_number(tmp_path, capsys, d
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decls,error", [
+    ("monoid M = table {0, 1} max 1\n", "1:1: M is not a monoid: ('unit-left', 0, 1)"),
+    ("monoid B = table {0, 1} max 0\nhom h : B -> B = [0 -> 1, 1 -> 1]\n",
+     "2:1: hom h is not a homomorphism: ('unit', 1)"),
+], ids=["monoid", "hom"])
+def test_cli_lawless_monoid_or_hom_is_a_run_error(tmp_path, capsys, decls, error):
+    code, out = _check_script(tmp_path, decls)
+    assert code == 2 and not out
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unit,other,op", [("T", "F", "and"), ("F", "T", "or"),
+                                           (1, 0, "and"), (0, 1, "or")])
+def test_table_and_or_keep_the_unit_neutral(unit, other, op):
+    # the other element absorbs: conjunction on {T, F} with unit T, and so on
+    script = dsl.parse(f"monoid M = table {{{unit}, {other}}} {op} {unit}\n")
+    m = dsl._monoid(script.decls[0])
+    assert [m.op(a, b) for a in (unit, other) for b in (unit, other)] == [unit, other, other, other]
+
+
 @pytest.mark.parametrize("table", ["{a, b} mul a", "{0, a} max 0"])
 def test_cli_table_op_undefined_on_its_elements_is_a_run_error(tmp_path, capsys, table):
     code, _ = _check_script(tmp_path, f"monoid M = table {table}\n")
@@ -635,6 +655,36 @@ coalg Q = pushforward(mu, M)
     assert code == 2
     err = capsys.readouterr().err
     assert "6:1: hom h" in err and "does not map the label 5" in err
+
+
+def test_cli_oversized_bounded_carrier_is_a_run_error(tmp_path, capsys):
+    # trees of depth <= 4 over two labels would number 1 045 459
+    code, out = _check_script(tmp_path, """monoid B = table {0, 1} max 0
+functor H = shape(B, 2)
+alg T = bounded(H, 5)
+""")
+    assert code == 2 and not out
+    assert "3:1: the terms of depth <= 4 over shape(B,2) number 1045459" in capsys.readouterr().err
+
+
+def test_cli_check_past_its_budget_builds_no_structure(tmp_path, monkeypatch):
+    # 511 fuel states times 1 + 2 * 511 signature values: past a budget of 1000
+    def build(*args):
+        raise AssertionError("structure built past the budget")
+
+    monkeypatch.setattr(oracle, "_Structure", build)
+    path = tmp_path / "script.cind"
+    path.write_text("""monoid B = table {0, 1} max 0
+functor G = shape(B, 1)
+alg L = bounded(G, 8)
+coalg D = dual(L)
+check unique D L L
+check c-initial D L
+""")
+    code, text = _main(["check", str(path), "--budget", "1000"])
+    assert code == 3
+    assert text.splitlines() == ["[budget] unique D L L  (exhaustive)",
+                                 "[budget] c-initial unfold8 (x) T8[shape(B,1)]  (exhaustive)"]
 
 
 def test_cli_count_of_many_free_cells_builds_no_tables(tmp_path):
@@ -688,6 +738,12 @@ def test_readme_script_example_runs(tmp_path):
     code, out = _check_script(tmp_path, example)
     assert code == 0
     assert "[holds] law zip2" in out
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_readme_lists_every_constructor_usage():

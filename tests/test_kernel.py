@@ -133,6 +133,21 @@ def test_hom_check_catches_non_hom():
     assert not hom_check(bad).ok
 
 
+def test_hom_inverse_is_derived_and_a_wrong_one_raises():
+    flip = hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"})
+    assert flip.is_injective() and flip.preimage("F") == "T"
+    given = hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}, inverse={"F": "T", "T": "F"})
+    assert given.inverse == flip.inverse
+    for wrong in ({"T": "T", "F": "F"}, {"F": "T"}, lambda y: y):
+        with pytest.raises(ValueError, match="inverse disagrees"):
+            hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}, inverse=wrong, name="flip")
+    # no unique preimage: a collapse has none, and no inverse may be given
+    assert not collapse_hom(BOOL_OR).is_injective()
+    assert collapse_hom(BOOL_OR).preimage("e") is None
+    with pytest.raises(ValueError, match="inverse disagrees"):
+        hom(BOOL_OR, TRIV, {0: "e", 1: "e"}, inverse={"e": 0})
+
+
 # ---------------------------------------------------------------------------
 # functor action
 

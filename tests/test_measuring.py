@@ -12,8 +12,7 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          TRUTH_OR, collapse_hom, const_sig, hom,
                          identity_hom, identity_nat, is_bottom, nat_transform,
                          node, shape_sig, unit_hom, zip_values)
-from cind.measuring import (Measuring, MeasuringLawError,
-                            canonical_const_measuring,
+from cind.measuring import (Measuring, canonical_const_measuring,
                             canonical_term_measuring, check_law, compose,
                             embed_measuring, from_morphism, measuring_to_json,
                             measurings_equal, pull_measuring, push_measuring,
@@ -75,12 +74,17 @@ def test_morphism_as_measuring_is_lawful():
     assert check_law(phi).ok
 
 
-def test_check_law_budget_flags_partial():
+def test_check_law_over_its_budget_evaluates_nothing():
+    # 7 fuel states times 15 signature values: 105 instances
     l2 = term_algebra_bounded(G1, 2)
     zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 2), l2, l2)
-    report = check_law(zipm, budget=10)
-    assert report.coverage.startswith("sampled: ")
-    assert report.checked <= 15 + 10  # one state's worth at most over
+    calls = []
+    counted = Measuring(zipm.coalg, l2, l2, lambda c, a: calls.append(c) or zipm.eval(c, a))
+    report = check_law(counted, budget=104)
+    assert (report.status, report.checked, report.coverage) == ("budget", 0, "exhaustive")
+    assert not calls
+    report = check_law(counted, budget=105)
+    assert report.ok and report.checked == 105
 
 
 def test_check_law_passes_exactly_the_raw_oracles_tables():
@@ -289,11 +293,11 @@ def test_from_to_morphism_roundtrip():
     assert to_morphism(from_morphism(f, n2, n2)) == f
 
 
-def test_from_morphism_rejects_non_morphisms():
+def test_from_morphism_of_a_non_morphism_fails_the_law():
     n2 = term_algebra_bounded(F1, 2)
     bad = {t: n2.elements[0] for t in n2.elements}
-    with pytest.raises(MeasuringLawError):
-        from_morphism(bad, n2, n2)
+    report = check_law(from_morphism(bad, n2, n2))
+    assert report.status == "fails" and report.violations
 
 
 def test_to_morphism_needs_unit_fuel():
@@ -575,7 +579,7 @@ def test_labels_sample_the_carrier_not_a_finite_source_signature():
     # the labels sample, while its signature values run over BoolOr's own
     mu = nat_transform(G1, NAT1, hom(BOOL_OR, NAT_PLUS, {0: 0, 1: 0}), (0,))
     p = pullback_algebra(mu, initial_term_algebra(NAT1))
-    phi = from_morphism(lambda x: x, p, p, depth=2, labels=(0, 1, 2))
+    phi = from_morphism(lambda x: x, p, p)
     report = check_law(phi, depth=2, labels=(0, 1, 2))
     assert report.ok
     assert report.coverage == "sampled: terms of depth <= 2; labels 0, 1, 2"

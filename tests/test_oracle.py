@@ -113,6 +113,15 @@ def test_budget_exhaustion_is_reported_not_raised():
     assert result.steps <= 3
 
 
+def test_a_bad_target_is_rejected_before_the_budget_is_consulted():
+    rng = random.Random(5)
+    c, a = random_coalgebra(G1, 3, rng), random_algebra(G1, 3, rng)
+    other = random_algebra(const_sig(BOOL_OR), 2, rng)
+    for budget in (0, 10 ** 6):
+        with pytest.raises(ValueError, match="signature mismatch: target over const"):
+            solve_measurings(c, a, other, budget=budget)
+
+
 def test_solver_deterministic():
     rng = random.Random(8)
     c = random_coalgebra(G1, 3, rng)
@@ -335,9 +344,12 @@ def test_non_preinitial_source_fails_with_witnesses():
 
 
 def test_check_c_initial_budget_status():
-    report = decide_c_initial(nat_counter(2), term_algebra_bounded(F1, 2), budget=1)
+    # 3 states times 4 signature values: a build of 12 constraints
+    c, a = nat_counter(2), term_algebra_bounded(F1, 2)
+    report = decide_c_initial(c, a, budget=11)
     assert report.status == "budget"
-    assert report.checked == 1
+    assert report.checked == 0  # the build is not started
+    assert decide_c_initial(c, a, budget=12).ok
 
 
 # one instance per outcome of the decision, each confirmed by the solver on

@@ -6,8 +6,8 @@ from typing import Any
 import pytest
 
 from cind.carriers import (Coalgebra, coalgebra, coalgebras_identical, finite_algebra,
-                           initial_term_algebra, nat_counter, perfect_shape,
-                           term_algebra_bounded, term_unfold_coalgebra,
+                           initial_term_algebra, is_coalgebra_morphism, nat_counter,
+                           perfect_shape, term_algebra_bounded, term_unfold_coalgebra,
                            tensor_coalgebra, unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          TRUTH_OR, NatTransform, Node, collapse_hom,
@@ -289,6 +289,17 @@ def test_restriction_keeps_everything_pushed_forward():
         assert sub.kept == pushed.states
 
 
+def test_restriction_along_a_derived_inverse_is_a_morphism():
+    # the flip hom's inverse is read off its mapping: T lifts to F, not to T
+    flip = nat_transform(const_sig(TRUTH_AND), const_sig(TRUTH_OR),
+                         hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}), name="flip")
+    c = coalgebra(flip.target, ("a", "b"), {"a": "T", "b": "F"})
+    sub = restrict_coalgebra(flip, c)
+    assert sub.coalg.chi == {"a": "F", "b": "T"}
+    assert is_coalgebra_morphism(restriction_inclusion(sub),
+                                 pushforward_coalgebra(flip, sub.coalg), c)
+
+
 def test_restriction_requires_injective_labels():
     m = coalgebra(F1, ("s",), {"s": node("e", "s")})
     pushed = pushforward_coalgebra(NU_LIST, term_unfold_coalgebra(G1, 1))
@@ -314,6 +325,7 @@ def test_restriction_inclusion_is_a_morphism():
     sub = restrict_coalgebra(MU_LIST, dual)
     inc = restriction_inclusion(sub)
     assert inc == {s: s for s in sub.kept}
+    assert is_coalgebra_morphism(inc, pushforward_coalgebra(sub.nat, sub.coalg), sub.parent)
     empty = restrict_coalgebra(MU_LIST, coalgebra(G1, ("s",), {"s": node(1, "s")}))
     assert restriction_inclusion(empty) == {}
 
