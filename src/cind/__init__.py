@@ -25,14 +25,12 @@ from .transport import (AdjointUnsupportedError, ExpandedAlgebra,
                         restriction_inclusion, restriction_untranspose)
 from .measuring import (Measuring, canonical_const_measuring, canonical_term_measuring,
                         check_law, compose, embed_measuring, from_morphism,
-                        measuring_to_json, measurings_equal, pull_measuring,
-                        push_measuring, table_measuring, to_morphism)
+                        pull_measuring, push_measuring, table_measuring,
+                        to_morphism)
 from .oracle import (DEFAULT_BUDGET, SolveResult,
                      check_adjunction, decide_c_initial,
                      check_preinitial_subterminal, check_preserves_c_initial,
                      check_respects_composition, coalgebra_morphisms,
-                     random_algebra, random_algebras, random_coalgebra,
-                     raw_lawful_tables, solve_measurings,
-                     solutions_as_measurings)
+                     raw_lawful_tables, solve_measurings)
 
 __version__ = "0.1.0"

@@ -603,8 +603,8 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
                 env[d.name] = _monoid(d)
             elif isinstance(d, HomDecl):
                 h = env[d.name] = kernel.hom(env[d.src], env[d.dst], dict(d.pairs), name=d.name)
-                # a hom out of builtin nat maps only the labels it lists
-                if h.source.finite and not (report := kernel.hom_check(h)).ok:
+                # a hom out of builtin nat is checked over the labels it lists
+                if not (report := kernel.hom_check(h)).ok:
                     raise ValueError(f"hom {d.name} is not a homomorphism: {report.witnesses[0]}")
             elif isinstance(d, NatDecl):
                 reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)

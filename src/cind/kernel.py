@@ -51,7 +51,8 @@ class Report:
         witnesses = tuple(witnesses)
         failed = bool(witnesses) if failed is None else failed
         status = "budget" if ran_out else "fails" if failed else "holds"
-        return cls(claim, instance, status, witnesses, checked, coverage_of(sampled))
+        coverage = "exhaustive" if sampled is None else f"sampled: {sampled}"
+        return cls(claim, instance, status, witnesses, checked, coverage)
 
     @property
     def ok(self) -> bool:
@@ -73,12 +74,6 @@ class Report:
                 "status": self.status, "coverage": self.coverage,
                 "witnesses": [w if isinstance(w, str) else render_value(w)
                               for w in self.witnesses]}
-
-
-def coverage_of(sampled) -> str:
-    """The coverage statement: "exhaustive", or "sampled: ..." when
-    ``sampled`` names a sample."""
-    return "exhaustive" if sampled is None else f"sampled: {sampled}"
 
 
 def exit_code(reports) -> int:
@@ -267,18 +262,25 @@ def collapse_hom(source: Monoid) -> MonoidHom:
 
 
 def hom_check(h: MonoidHom, budget: int = 1000) -> Report:
-    """Check unit preservation and multiplicativity on enumerated pairs."""
-    xs = h.source.elements if h.source.finite else h.source.sample(max(2, int(budget ** 0.5)))
+    """Check unit preservation and multiplicativity on enumerated pairs.  A
+    table out of the builtin carrier is checked over the labels it lists:
+    the unit where it is listed, and each product of two listed labels that
+    is listed too."""
+    table = isinstance(h.mapping, dict)
+    listed = h.mapping.__contains__ if table else lambda x: True
+    xs = (h.source.elements if h.source.finite else tuple(h.mapping) if table
+          else h.source.sample(max(2, int(budget ** 0.5))))
     violations = []
-    checked = 1
-    if h.apply(h.source.unit) != h.target.unit:
+    checked = int(listed(h.source.unit))
+    if checked and h.apply(h.source.unit) != h.target.unit:
         violations.append(("unit", h.apply(h.source.unit)))
     for a, b in itertools.product(xs, repeat=2):
-        checked += 1
-        lhs = h.apply(h.source.op(a, b))
-        rhs = h.target.op(h.apply(a), h.apply(b))
-        if lhs != rhs:
-            violations.append(("mul", (a, b), lhs, rhs))
+        if listed(h.source.op(a, b)):
+            checked += 1
+            lhs = h.apply(h.source.op(a, b))
+            rhs = h.target.op(h.apply(a), h.apply(b))
+            if lhs != rhs:
+                violations.append(("mul", (a, b), lhs, rhs))
     return Report.of("hom", f"{h.source.name}->{h.target.name}", violations,
                      checked=checked, sampled=None if h.source.finite else _listing("elements", xs))
 

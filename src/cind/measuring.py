@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .carriers import Algebra, Coalgebra, render_value, tensor_coalgebra, unit_coalgebra
-from .kernel import (CONST, NatTransform, Report, coverage_of, fvalues,
+from .carriers import Algebra, Coalgebra, tensor_coalgebra, unit_coalgebra
+from .kernel import (CONST, NatTransform, Report, fvalues,
                      nat_apply, _sample_labels, unit_value, zip_values)
 from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
                         pushout_algebra, restrict_coalgebra)
@@ -72,15 +72,6 @@ def _law_mismatches(phi: Measuring, values):
                 yield (c, v, lhs, rhs)
 
 
-def _source_domain(phi: Measuring, depth: int, labels):
-    """(source elements, labels, what was sampled or None): the whole carrier
-    or an initial segment, and the labels the signature values run over."""
-    elems, sampled = phi.source.carrier(depth, labels)
-    monoid = phi.source.sig.monoid  # labels sample a builtin monoid only
-    labels, listed = _sample_labels(monoid, None if monoid.finite else labels)
-    return elems, labels, "; ".join(dict.fromkeys(sampled + listed)) or None
-
-
 def check_law(phi: Measuring, depth: int = 3, labels=None,
               budget: int = None, max_witnesses: int = 20) -> Report:
     """Verify the measuring law on every enumerated source value; the
@@ -94,7 +85,10 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
     """
     if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
         raise ValueError("measuring endpoints live over different signatures")
-    elems, labels, sampled = _source_domain(phi, depth, labels)
+    elems, sampled = phi.source.carrier(depth, labels)
+    monoid = phi.source.sig.monoid  # labels sample a builtin monoid only
+    labels, listed = _sample_labels(monoid, None if monoid.finite else labels)
+    sampled = "; ".join(dict.fromkeys(sampled + listed)) or None
     values = fvalues(phi.source.sig, elems, labels)
     checked = len(phi.coalg.states) * len(values)
     if budget is not None and checked > budget:
@@ -245,7 +239,7 @@ def pull_measuring(mu: NatTransform, phi: Measuring, sub=None) -> Measuring:
 
 
 # ---------------------------------------------------------------------------
-# comparison and serialisation
+# comparison
 
 
 def _pointwise_mismatches(lhs: Measuring, rhs: Measuring, states, elems,
@@ -262,24 +256,3 @@ def _pointwise_mismatches(lhs: Measuring, rhs: Measuring, states, elems,
                 if len(out) >= limit:
                     return out
     return out
-
-
-def measurings_equal(m1: Measuring, m2: Measuring, elems=None, depth: int = 3,
-                     labels=None, state_map=None) -> bool:
-    """Pointwise equality over the enumerated domain; state_map translates
-    m1's fuel states into m2's."""
-    if elems is None:
-        elems, _ = m1.source.carrier(depth, labels)
-    return not _pointwise_mismatches(m1, m2, m1.coalg.states, elems, state_map, limit=1)
-
-
-def measuring_to_json(phi: Measuring, depth: int = 3, labels=None) -> dict:
-    """Serialisable table plus metadata naming the three carriers, with the
-    table's coverage stated as a report states it."""
-    elems, _, sampled = _source_domain(phi, depth, labels)
-    rows = [{"coalgebraState": render_value(c), "input": render_value(a),
-             "output": render_value(phi.eval(c, a))}
-            for c in phi.coalg.states for a in elems]
-    return {"coalgebra": phi.coalg.name, "source": phi.source.name,
-            "target": phi.target.name,
-            "coverage": coverage_of(sampled), "table": rows}

@@ -1,27 +1,26 @@
 """Exhaustive checkers: a propagation/backtracking solver that counts the
 lawful measuring tables between finite carriers and keeps the first few (or
-all), a raw filter oracle it is cross-validated against, machine morphism
-enumeration, and the claim-level checkers: c-initiality (decided, with an
-algebra that witnesses each outcome), preinitiality, composition respect,
-adjunction bijections and initiality preservation.  Algebra morphisms are
-the measurings by the one-state unit machine.  Each checker returns a
-``kernel.Report`` that states its coverage.
+all), a raw filter oracle it is cross-validated against, a forcing search
+for machine morphisms, and the claim-level checkers: c-initiality (decided,
+with an algebra that witnesses each outcome), preinitiality, composition
+respect, adjunction bijections and initiality preservation.  Algebra
+morphisms are the measurings by the one-state unit machine.  Both searches
+return a ``SolveResult`` and stop where one budget runs out.  Each checker
+returns a ``kernel.Report`` that states its coverage.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import add
 
-from .carriers import (Algebra, Coalgebra, coalgebra, is_coalgebra_morphism,
-                       render_value, table_algebra, unit_coalgebra)
-from .kernel import (BOTTOM, CONST, STAR, FunctorSig, NatTransform, Node,
-                     Report, functor_map, fvalues, is_bottom, zip_values)
+from .carriers import Algebra, Coalgebra, render_value, unit_coalgebra
+from .kernel import (BOTTOM, CONST, STAR, NatTransform, Node, Report,
+                     functor_map, fvalues, is_bottom, zip_values)
 from .measuring import (_pointwise_mismatches, compose, embed_measuring,
-                        pull_measuring, push_measuring, table_measuring)
+                        pull_measuring, push_measuring)
 from .transport import (expand_algebra, pullback_algebra,
                         pushforward_coalgebra, pushout_algebra,
                         pushout_transpose, pushout_untranspose,
@@ -273,11 +272,6 @@ def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,
     return _Structure(c, a).solve(b, budget, keep)
 
 
-def solutions_as_measurings(c, a, b, result: SolveResult) -> list:
-    return [table_measuring(c, a, b, t, f"solution{i}")
-            for i, t in enumerate(result.solutions)]
-
-
 def raw_lawful_tables(c: Coalgebra, a: Algebra, b: Algebra,
                       limit: int = 2 ** 18) -> tuple:
     """Filter oracle: enumerate all |B|^(|C||A|) tables and keep the lawful
@@ -309,45 +303,82 @@ def raw_lawful_tables(c: Coalgebra, a: Algebra, b: Algebra,
 
 
 def _algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
-                       keep: int | None = None):
-    """(morphisms a -> b as dicts, the solve's result): the measurings by the
-    unit machine, with its one state stripped from the table keys."""
+                       keep: int | None = None) -> SolveResult:
+    """The morphisms a -> b as dicts: the measurings by the unit machine,
+    with its one state stripped from the table keys."""
     result = solve_measurings(unit_coalgebra(a.sig), a, b, budget, keep)
-    morphs = tuple({x: t[STAR, x] for x in a.elements} for t in result.solutions)
-    return morphs, result
+    return replace(result, solutions=tuple({x: t[STAR, x] for x in a.elements}
+                                           for t in result.solutions))
 
 
-def coalgebra_morphisms(c: Coalgebra, d: Coalgebra, cap: int = 2 ** 20) -> tuple:
-    """All unfolding-preserving maps between finite machines, as dicts."""
-    total = len(d.states) ** len(c.states)
-    if total > cap:
-        raise ValueError(f"{total} candidate maps exceed the cap {cap}")
-    maps = (dict(zip(c.states, combo))
-            for combo in itertools.product(d.states, repeat=len(c.states)))
-    return tuple(f for f in maps if is_coalgebra_morphism(f, c, d))
+def coalgebra_morphisms(c: Coalgebra, d: Coalgebra,
+                        budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """The unfolding-preserving maps c -> d, as dicts, in the order of the
+    product over ``d.states``.  Setting f(s) = t needs chi_C(s) and chi_D(t)
+    to have the same top (bottom, bare label or node label), and forces f on
+    each slot of chi_C(s) to the matching slot of chi_D(t): a morphism is
+    fixed on the subcoalgebra a state generates.  So the search branches only
+    on the states no earlier choice reached, in ``c.states`` order, over the
+    targets whose top matches.  Every assignment, a branch's own included,
+    is a step and costs a budget unit."""
+    if c.sig != d.sig:
+        return SolveResult((), True, 0, 0)
 
+    def split(x):  # (top, slots)
+        return (x, ()) if c.sig.kind == CONST or is_bottom(x) else (x.label, x.slots)
 
-# ---------------------------------------------------------------------------
-# random instance families (seeded, deterministic)
+    cs = {s: split(c.chi[s]) for s in c.states}
+    ds, by_top = {t: split(d.chi[t]) for t in d.states}, {}
+    for t in d.states:
+        by_top.setdefault(ds[t][0], []).append(t)
+    states = c.states
+    options = [by_top.get(cs[s][0], ()) for s in states]
+    f, solutions, steps = {}, [], 0
 
+    def force(s, t, trail) -> bool:
+        """Set f(s) = t and what it forces, noting each state set on trail;
+        False at a clash."""
+        nonlocal steps
+        work = [(s, t)]
+        while work:
+            s, t = work.pop()
+            if f.get(s, t) != t or cs[s][0] != ds[t][0]:
+                return False
+            if s not in f:
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded
+                f[s] = t
+                trail.append(s)
+                work.extend(zip(cs[s][1], ds[t][1]))
+        return True
 
-def random_algebra(sig: FunctorSig, size: int, rng: random.Random, name="") -> Algebra:
-    elems = tuple(range(size))
-    table = {v: rng.choice(elems) for v in fvalues(sig, elems)}
-    return table_algebra(sig, elems, table, name or f"rand{size}")
-
-
-def random_coalgebra(sig: FunctorSig, size: int, rng: random.Random, name="") -> Coalgebra:
-    states = tuple(range(size))
-    options = fvalues(sig, states)
-    chi = {s: rng.choice(options) for s in states}
-    return coalgebra(sig, states, chi, name or f"randm{size}")
-
-
-def random_algebras(sig: FunctorSig, sizes, per_size: int, seed: int) -> list:
-    rng = random.Random(seed)
-    return [random_algebra(sig, size, rng, name=f"rand{size}.{i}")
-            for size in sizes for i in range(per_size)]
+    # frames [index of the state branched on, next option, states its choice set]
+    stack, i = [], 0
+    try:
+        while True:
+            while i < len(states) and states[i] in f:
+                i += 1
+            if i == len(states):
+                solutions.append({s: f[s] for s in states})
+            else:
+                stack.append([i, 0, []])
+            while stack:
+                frame = stack[-1]
+                i, k, trail = frame
+                for s in trail:
+                    del f[s]
+                trail.clear()
+                if k == len(options[i]):
+                    stack.pop()
+                    continue
+                frame[1] = k + 1
+                if force(states[i], options[i][k], trail):
+                    break
+            else:
+                return SolveResult(tuple(solutions), True, steps, len(solutions))
+    except BudgetExceeded:
+        return SolveResult(tuple(solutions), False, steps, len(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +457,11 @@ def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
     """At most one morphism out of p, and at most one lawful measuring per
     fuel machine in the given family."""
     witnesses = []
-    morphs, result = _algebra_morphisms(p, b, budget, keep=2)
+    result = _algebra_morphisms(p, b, budget, keep=2)
     exhaustive = result.exhaustive
     if result.count > 1:
         witnesses.append(f"{result.count} morphisms {p.name} -> {b.name}")
-        witnesses.extend(str(sorted(m.items(), key=str)) for m in morphs)
+        witnesses.extend(str(sorted(m.items(), key=str)) for m in result.solutions)
     for c in coalgebras:
         result = solve_measurings(c, p, b, budget, keep=1)
         exhaustive = exhaustive and result.exhaustive
@@ -474,7 +505,7 @@ def check_respects_composition(kind: str, instances, depth: int = 3) -> Report:
 
 
 def check_adjunction(mu: NatTransform, side: str, instances,
-                     cap: int = 2 ** 20, budget: int = DEFAULT_BUDGET) -> Report:
+                     budget: int = DEFAULT_BUDGET) -> Report:
     """Hom-set bijections for the pushout and the restriction.
 
     side "bang": instances are (A, B) constant-signature algebra pairs; the
@@ -483,28 +514,22 @@ def check_adjunction(mu: NatTransform, side: str, instances,
     morphisms D -> restrict(C) must biject with morphisms push(D) -> C via
     post-composition with the inclusion, which leaves a map as it is.  Each
     transpose must land in the other hom-set and transpose back; one that
-    raises ``ValueError`` fails.  ``cap`` bounds the candidate maps of the
-    machine morphism enumeration and ``budget`` each solve of the algebra
-    morphisms; running past either is status budget.
+    raises ``ValueError`` fails.  ``budget`` bounds each hom-set search;
+    running past it is status budget.
     """
     def bang(a, b):
         p = pushout_algebra(mu.hom, a)
-        fs, f_result = _algebra_morphisms(a, pullback_algebra(mu, b), budget)
-        gs, g_result = _algebra_morphisms(p.algebra, b, budget)
-        if not (f_result.exhaustive and g_result.exhaustive):
-            return "budget exceeded"
-        return fs, gs, partial(pushout_transpose, p, b), partial(pushout_untranspose, p)
+        return (_algebra_morphisms(a, pullback_algebra(mu, b), budget),
+                _algebra_morphisms(p.algebra, b, budget),
+                partial(pushout_transpose, p, b), partial(pushout_untranspose, p))
 
     def shriek(d, c):
         sub = restrict_coalgebra(mu, c)
-        try:
-            fs = coalgebra_morphisms(d, sub.coalg, cap)
-            gs = coalgebra_morphisms(pushforward_coalgebra(mu, d), c, cap)
-        except ValueError:  # too many candidate maps
-            return "cap exceeded"
-        return fs, gs, dict, partial(restriction_untranspose, sub, d)
+        return (coalgebra_morphisms(d, sub.coalg, budget),
+                coalgebra_morphisms(pushforward_coalgebra(mu, d), c, budget),
+                dict, partial(restriction_untranspose, sub, d))
 
-    # per instance: the two hom-sets and the transposes, or what ran out
+    # per instance: the two hom-set searches and the transposes
     hom_sets = {"bang": bang, "shriek": shriek}.get(side)
     if hom_sets is None:
         raise ValueError(f"unknown adjunction side {side!r}")
@@ -513,12 +538,12 @@ def check_adjunction(mu: NatTransform, side: str, instances,
     ran_out = False
     for count, inst in enumerate(instances, 1):
         tag = f"instance {count}"
-        found = hom_sets(*inst)
-        if isinstance(found, str):
+        f_result, g_result, transpose, untranspose = hom_sets(*inst)
+        if not (f_result.exhaustive and g_result.exhaustive):
             ran_out = True
-            witnesses.append((tag, found))
+            witnesses.append((tag, "budget exceeded"))
             continue
-        fs, gs, transpose, untranspose = found
+        fs, gs = f_result.solutions, g_result.solutions
         if len(fs) != len(gs):
             witnesses.append((tag, "counts", len(fs), len(gs)))
             continue

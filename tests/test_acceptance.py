@@ -25,10 +25,10 @@ from cind.measuring import (canonical_term_measuring, check_law, compose,
                             from_morphism, table_measuring, to_morphism)
 from cind.oracle import (check_adjunction, check_preserves_c_initial,
                          check_respects_composition, decide_c_initial,
-                         random_algebra, random_algebras, random_coalgebra,
                          raw_lawful_tables, solve_measurings)
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra, pushout_algebra)
+from helpers import random_algebra, random_algebras, random_coalgebra
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)

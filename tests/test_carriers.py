@@ -231,7 +231,7 @@ def test_fold_on_unique_morphism_out_of_terms():
     initial = initial_term_algebra(F1)
     import random
     rng = random.Random(5)
-    from cind.oracle import random_algebra
+    from helpers import random_algebra
     for size in (1, 2, 3):
         b = random_algebra(F1, size, rng)
         expected = {t: fold(b, t) for t in terms3}

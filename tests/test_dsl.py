@@ -616,6 +616,19 @@ def test_cli_lawless_monoid_or_hom_is_a_run_error(tmp_path, capsys, decls, error
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs,code,error", [
+    ("0 -> 1", 2, "2:1: hom h is not a homomorphism: ('unit', 1)"),
+    ("1 -> 2, 2 -> 5", 2, "2:1: hom h is not a homomorphism: ('mul', (1, 1), 5, 4)"),
+    ("1 -> 2, 2 -> 4", 0, ""),
+], ids=["unit", "product", "lawful"])
+def test_cli_hom_out_of_builtin_nat_is_checked_on_its_listed_labels(tmp_path, capsys,
+                                                                   pairs, code, error):
+    # the unit where it is listed, and each listed product of listed labels
+    script = f"monoid N = builtin nat\nhom h : N -> N = [{pairs}]\n"
+    assert _check_script(tmp_path, script) == (code, "")
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("unit,other,op", [("T", "F", "and"), ("F", "T", "or"),
                                            (1, 0, "and"), (0, 1, "or")])
 def test_table_and_or_keep_the_unit_neutral(unit, other, op):

@@ -14,13 +14,12 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          node, shape_sig, unit_hom, zip_values)
 from cind.measuring import (Measuring, canonical_const_measuring,
                             canonical_term_measuring, check_law, compose,
-                            embed_measuring, from_morphism, measuring_to_json,
-                            measurings_equal, pull_measuring, push_measuring,
-                            table_measuring, to_morphism)
-from cind.oracle import (check_respects_composition, random_algebra,
-                         random_coalgebra, raw_lawful_tables)
+                            embed_measuring, from_morphism, pull_measuring,
+                            push_measuring, table_measuring, to_morphism)
+from cind.oracle import check_respects_composition, raw_lawful_tables
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra)
+from helpers import measurings_equal, random_algebra, random_coalgebra
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -312,7 +311,6 @@ def test_unit_measuring_counts_match_morphism_counts():
     from cind.oracle import raw_lawful_tables, solve_measurings
     for sig in (F1, G1, const_sig(BOOL_OR)):
         for _ in range(4):
-            from cind.oracle import random_algebra
             a = random_algebra(sig, rng.randint(1, 3), rng)
             b = random_algebra(sig, rng.randint(1, 3), rng)
             unit = unit_coalgebra(sig)
@@ -522,32 +520,6 @@ def test_transports_preserve_lawfulness():
         assert check_law(pull_measuring(MU_LIST, phi)).ok
 
 
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def test_measuring_serialises_to_a_table():
-    n1 = term_algebra_bounded(F1, 1)
-    phi = canonical_term_measuring(nat_counter(1), n1, n1, name="m")
-    blob = measuring_to_json(phi)
-    assert blob["coalgebra"] == "fuel1"
-    assert blob["coverage"] == "exhaustive"
-    assert {"coalgebraState", "input", "output"} == set(blob["table"][0])
-    assert len(blob["table"]) == 2 * 2
-    import json
-    json.dumps(blob)
-
-
-def test_measuring_json_states_a_sampled_coverage():
-    lists = initial_term_algebra(G1)
-    phi = canonical_term_measuring(term_unfold_coalgebra(G1, 1), lists, lists)
-    blob = measuring_to_json(phi, depth=2)
-    assert blob["coverage"] == "sampled: terms of depth <= 2"
-    blob = measuring_to_json(phi, depth=2, labels=(0,))
-    assert blob["coverage"] == "sampled: terms of depth <= 2; labels 0"
-    assert len(blob["table"]) == len(phi.coalg.states) * 3  # #b, (0 #b), (0 (0 #b))
-
-
 NAT1 = shape_sig(NAT_PLUS, 1)
 NAT_LISTS = initial_term_algebra(NAT1)
 NAT_ZIP = canonical_term_measuring(term_as_coalgebra(NAT1, node(0, node(1, BOTTOM))),
@@ -558,8 +530,6 @@ NAT_DUP = nat_transform(NAT1, shape_sig(NAT_PLUS, 2), identity_hom(NAT_PLUS), (0
 @pytest.mark.parametrize("call, expected", [
     (lambda: check_law(NAT_ZIP, depth=2).line(),
      "[holds] law prune  (sampled: terms of depth <= 2; labels 0, 1, 2)"),
-    (lambda: measuring_to_json(NAT_ZIP, depth=1)["coverage"],
-     "sampled: terms of depth <= 1; labels 0, 1, 2"),
     (lambda: check_respects_composition("push", [(NAT_DUP, NAT_ZIP, NAT_ZIP)], depth=2).line(),
      "[holds] respects-composition[push] 1 instances"
      "  (sampled: terms of depth <= 2; labels 0, 1, 2)"),
@@ -567,7 +537,7 @@ NAT_DUP = nat_transform(NAT1, shape_sig(NAT_PLUS, 2), identity_hom(NAT_PLUS), (0
     (lambda: from_morphism(lambda x: x, NAT_LISTS, NAT_LISTS).name, "morphism"),
     (lambda: embed_measuring(identity_nat(NAT1), identity_nat(NAT1), NAT_ZIP).name,
      "embed[prune]"),
-], ids=["check_law", "to_json", "respects_composition", "measurings_equal",
+], ids=["check_law", "respects_composition", "measurings_equal",
         "from_morphism", "embed"])
 def test_builtin_nat_carriers_sample_their_labels(call, expected):
     # the enumerator behind the term carrier picks the labels 0, 1, 2
@@ -583,7 +553,13 @@ def test_labels_sample_the_carrier_not_a_finite_source_signature():
     report = check_law(phi, depth=2, labels=(0, 1, 2))
     assert report.ok
     assert report.coverage == "sampled: terms of depth <= 2; labels 0, 1, 2"
-    assert measuring_to_json(phi, depth=2, labels=(0, 1, 2))["coverage"] == report.coverage
+    # lists over BoolOr sampled at the label 0: #b, (0 #b), (0 (0 #b)), while
+    # the values run over both labels, 1 + 2 * 3 of them a state
+    lists = initial_term_algebra(G1)
+    zipm = canonical_term_measuring(term_unfold_coalgebra(G1, 1), lists, lists)
+    report = check_law(zipm, depth=2, labels=(0,))
+    assert report.ok and report.checked == len(zipm.coalg.states) * 7
+    assert report.coverage == "sampled: terms of depth <= 2; labels 0"
 
 
 LIFT = MU_LIST

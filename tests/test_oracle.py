@@ -17,11 +17,11 @@ from cind.kernel import (BOOL_OR, BOTTOM, TRIV, TRUTH_AND, collapse_hom,
 from cind.measuring import Measuring, canonical_term_measuring, check_law
 from cind.oracle import (check_adjunction, check_preinitial_subterminal,
                          check_preserves_c_initial,
-                         check_respects_composition, decide_c_initial,
-                         random_algebra, random_algebras, random_coalgebra,
-                         raw_lawful_tables, solve_measurings,
-                         solutions_as_measurings)
+                         check_respects_composition, coalgebra_morphisms,
+                         decide_c_initial, raw_lawful_tables, solve_measurings)
 from cind.transport import SubCoalgebra
+from helpers import (product_coalgebra_morphisms, random_algebra, random_algebras,
+                     random_coalgebra, solutions_as_measurings)
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -600,13 +600,51 @@ def test_shriek_restriction_short_of_a_state_fails_on_counts(monkeypatch):
     assert report.witnesses == (("instance 1", "counts", 1, 2),)
 
 
-def test_shriek_cap_overflow_reports_budget():
+def test_shriek_past_its_budget_reports_budget():
     rng = random.Random(34)
     instances = [(random_coalgebra(F1, 3, rng), random_coalgebra(G1, 3, rng))]
     assert check_adjunction(MU_LIST, "shriek", instances).ok
-    report = check_adjunction(MU_LIST, "shriek", instances, cap=1)
+    report = check_adjunction(MU_LIST, "shriek", instances, budget=1)
     assert report.status == "budget"
-    assert report.witnesses == (("instance 1", "cap exceeded"),)
+    assert report.witnesses == (("instance 1", "budget exceeded"),)
+
+
+def test_forcing_search_matches_the_product_over_seeded_pairs():
+    # the forcing search against every map filtered, in the same order; a
+    # budget one step short cuts the search, keeping a prefix of the maps
+    rng = random.Random(1601)
+    sigs = [K2, F1, G1, shape_sig(TRIV, 2), H2]
+    mapped = branched = 0  # pairs with a map, and with two or more
+    for trial in range(1000):
+        sig = sigs[trial % len(sigs)]
+        c = random_coalgebra(sig, rng.randint(0, 5), rng)
+        d = random_coalgebra(sig, rng.randint(0, 3), rng)
+        expected = product_coalgebra_morphisms(c, d)
+        result = coalgebra_morphisms(c, d)
+        assert result.solutions == expected, (c.chi, d.chi)
+        assert result.exhaustive and result.count == len(expected)
+        mapped += len(expected) > 0
+        branched += len(expected) > 1
+        if result.steps:
+            short = coalgebra_morphisms(c, d, budget=result.steps - 1)
+            assert not short.exhaustive and short.steps == result.steps
+            assert short.solutions == expected[:short.count]
+    assert mapped > 300 and branched > 50
+
+
+def test_forcing_search_handles_a_5000_state_chain():
+    # a 5000-state BoolOr list leading into a loop, its states listed from
+    # either end: forcing runs down the chain, or the search opens one
+    # branch a state; both end with the one map into the loop
+    loop = coalgebra(G1, ("x",), {"x": node(0, "x")})
+    n = 5000
+    chi = {i: node(0, min(i + 1, n - 1)) for i in range(n)}
+    for states in (range(n), range(n - 1, -1, -1)):
+        result = coalgebra_morphisms(coalgebra(G1, states, chi), loop)
+        assert result.exhaustive and result.steps == n
+        assert result.solutions == ({i: "x" for i in states},)
+    short = coalgebra_morphisms(coalgebra(G1, range(n), chi), loop, budget=n - 1)
+    assert (short.exhaustive, short.count, short.steps) == (False, 0, n)
 
 
 @pytest.mark.parametrize("check", [
