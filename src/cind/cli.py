@@ -5,7 +5,8 @@ cind demo prune --shape S --tree T      overlay a fuel shape onto a tree
 cind gallery NAME [--json]              run a named example setup
 
 Exit codes: 0 all checks hold, 1 a check failed, 2 usage, parse or script
-error, 3 a budget was exceeded.  CIND_BUDGET overrides the default budget.
+error, 3 a budget was exceeded or memory ran out (one ``cind: out of memory``
+line, no traceback).  CIND_BUDGET overrides the default budget.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def _budget(args) -> int:
     return budget
 
 
+def _out_of_memory(what: str) -> int:
+    print(f"cind: out of memory running {what}", file=sys.stderr)
+    return 3
+
+
 def cmd_check(args, out) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -53,6 +59,8 @@ def cmd_check(args, out) -> int:
     except dsl.ScriptRunError as exc:
         print(f"cind: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        return _out_of_memory(args.file)
     if args.json:
         print(dsl.reports_to_json(reports), file=out)
     else:
@@ -76,6 +84,8 @@ def cmd_gallery(args, out) -> int:
     except ValueError as exc:
         print(f"cind: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        return _out_of_memory(f"gallery {args.name}")
     if args.json:
         payload = {"name": fixture.name, "title": fixture.title,
                    "goldens": fixture.goldens,

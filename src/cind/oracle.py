@@ -1,6 +1,9 @@
 """Exhaustive checkers: a propagation/backtracking solver that counts the
 lawful measuring tables between finite carriers and keeps the first few (or
-all), a raw filter oracle it is cross-validated against, a forcing search
+all), reaching each instance of the measuring law through the cell it reads
+(decoded from a value table of the source and an index of the machine, so
+the |C|·|F(A)| instances are never built), a raw filter oracle it is
+cross-validated against, a forcing search
 for machine morphisms, and the claim-level checkers: c-initiality (decided,
 with an algebra that witnesses each outcome), preinitiality, composition
 respect, adjunction bijections and initiality preservation.  Algebra
@@ -50,75 +53,141 @@ class SolveResult:
 
 
 class _Structure:
-    """Target-independent constraint graph for measurings out of (C, A).
+    """Target-independent law structure for measurings out of (C, A): a value
+    table for the source and an index of the machine, from which each law
+    instance is decoded when it is needed.
 
-    One cell per (state, element), numbered ``s * |A| + e``.  Every signature
-    value v over the carrier induces the constraint cell(c, alpha(v)) =
-    interpretation of the zipped unfolding, whose slots reference other
-    cells.  A constraint is (lhs, deps, label): the cell it defines, the cells
-    in its slots, and the index of its label in the finite monoid, -1 for
-    bottom.  The source's structure map is read once per value, not once per
-    cell.
+    One cell per (state, element), numbered ``s * |A| + e``.  One law
+    instance, or constraint, per (state, signature value v), numbered
+    ``s * |F(A)| + v``: cell(s, alpha(v)) = the interpretation of the zipped
+    unfolding, whose slots reference other cells.  ``decode`` gives it as
+    (lhs, deps, label): the cell it defines, the cells in its slots, and the
+    index of its label in the finite monoid, -1 for bottom.
+
+    The value table reads the source's structure map once per value and
+    holds, per value, its output, label and slot indices, and, per slot
+    position, the values that hold each element there.  The machine index
+    holds, per state, its label row (the products with its label; None for
+    bottom) and slot bases, and the (state, slot positions) whose unfolding
+    has it in a slot.  A constraint that an earlier one of its state repeats,
+    as when a label row collapses two products, is a duplicate: one mask per
+    distinct row marks them, and they are never generated.  ``readers(cell)``
+    generates the constraints that read a cell in ascending order, so nothing
+    of size |C|·|F(A)| is built.
     """
 
     def __init__(self, c: Coalgebra, a: Algebra):
         _build_size(c, a)  # rejects what the solver cannot take
-        self.coalg, self.algebra = c, a
         self.states, self.elems = c.states, a.elements
         sig, labels = a.sig, a.sig.monoid.elements
         lindex = {m: i for i, m in enumerate(labels)}
         sindex = {s: i for i, s in enumerate(self.states)}
         eindex = {e: i for i, e in enumerate(self.elems)}
-        ne = len(self.elems)
+        self.ne = ne = len(self.elems)
         self.ncells = len(self.states) * ne
-        values = []  # (output, label, slots) per value, as indices; label -1 for bottom
-        for v in fvalues(sig, self.elems):
+        # the value table; a label is -1 for bottom
+        self.outs, self.labels, self.slots = outs, labs, slots = [], [], []
+        arity = 0 if sig.kind == CONST else sig.arity
+        self.by_pos = [[[] for _ in range(ne)] for _ in range(arity)]
+        for vi, v in enumerate(fvalues(sig, self.elems)):
             out = eindex.get(a.alpha(v))
             if out is None:
                 raise ValueError(f"structure map of {a!r} left the carrier at {v!r}")
+            outs.append(out)
             if sig.kind == CONST:
-                values.append((out, lindex[v], ()))
+                labs.append(lindex[v])
+                slots.append(())
             elif is_bottom(v):
-                values.append((out, -1, ()))
+                labs.append(-1)
+                slots.append(())
             else:
-                values.append((out, lindex[v.label], tuple(eindex[x] for x in v.slots)))
+                labs.append(lindex[v.label])
+                slots.append(tuple(eindex[x] for x in v.slots))
+                for at, x in zip(self.by_pos, slots[-1]):
+                    at[x].append(vi)
+        self.nv = len(outs)
+        self.image = bytearray(ne)  # 1 where an element is some value's output
+        for out in outs:
+            self.image[out] = 1
+        # the machine index
         op = sig.monoid.op
         products = [[lindex[op(x, y)] for y in labels] for x in labels]
-        seen = set()
-        constraints = []
+        self.rows, self.bases, self.masks = [], [], []
+        self.parents = [[] for _ in self.states]
+        masks = {}  # label index, or None for bottom -> duplicate mask
         for si, s in enumerate(self.states):
             chi = c.chi[s]
             if sig.kind == CONST:
-                row, bases = products[lindex[chi]], ()
+                key, bases = lindex[chi], ()
             elif is_bottom(chi):
-                row = None
+                key, bases = None, ()
             else:
-                row, bases = products[lindex[chi.label]], [sindex[cs] * ne for cs in chi.slots]
-            for out, m, slots in values:
-                if row is None or m < 0:
-                    cons = (si * ne + out, (), -1)
-                else:
-                    cons = (si * ne + out, tuple(map(add, bases, slots)), row[m])
-                if cons not in seen:
-                    seen.add(cons)
-                    constraints.append(cons)
-        self.constraints = constraints
-        self.by_dep = [[] for _ in range(self.ncells)]
-        for ci, (_, deps, _) in enumerate(constraints):
-            for d in set(deps):
-                self.by_dep[d].append(ci)
-        self.initial = [ci for ci, (_, deps, _) in enumerate(constraints) if not deps]
-        defined = {lhs for lhs, _, _ in constraints}
-        self.loose = [cell for cell, users in enumerate(self.by_dep)
-                      if not users and cell not in defined]
+                key, bases = lindex[chi.label], tuple(sindex[cs] * ne for cs in chi.slots)
+                positions = {}
+                for i, cs in enumerate(chi.slots):
+                    positions.setdefault(sindex[cs], []).append(i)
+                for t, ps in positions.items():
+                    self.parents[t].append((si, tuple(ps)))
+            row = None if key is None else products[key]
+            if key not in masks:
+                masks[key] = self._duplicates(row)
+            self.rows.append(row)
+            self.bases.append(bases)
+            self.masks.append(masks[key])
+        bare = [vi for vi, xs in enumerate(slots) if not xs]
+        self.initial = [si * self.nv + vi for si, (row, mask) in enumerate(zip(self.rows, self.masks))
+                        for vi in (range(self.nv) if row is None else bare)
+                        if not (mask and mask[vi])]
+        # a cell no constraint reads (its state is in no slot) or defines
+        self.loose = [si * ne + e for si, ps in enumerate(self.parents) if not ps
+                      for e in range(ne) if not self.image[e]]
+
+    def _duplicates(self, row):
+        """A mask over the values, 1 where an earlier value gives the same
+        constraint in a state with label row (None for a bottom state, whose
+        constraints differ only in their output); None when none repeats."""
+        seen, mask = set(), bytearray(self.nv)
+        for vi, (out, m, xs) in enumerate(zip(self.outs, self.labels, self.slots)):
+            key = out if row is None else (out, xs, -1 if m < 0 else row[m])
+            if key in seen:
+                mask[vi] = 1
+            else:
+                seen.add(key)
+        return mask if any(mask) else None
+
+    def decode(self, ci: int) -> tuple:
+        """Constraint ci as (lhs, deps, label)."""
+        si, vi = divmod(ci, self.nv)
+        row, m = self.rows[si], self.labels[vi]
+        lhs = si * self.ne + self.outs[vi]
+        if row is None or m < 0:
+            return lhs, (), -1
+        return lhs, tuple(map(add, self.bases[si], self.slots[vi])), row[m]
+
+    def readers(self, cell: int) -> list:
+        """The constraints with the cell in a slot, in ascending order."""
+        s, e = divmod(cell, self.ne)
+        out = []
+        for t, positions in self.parents[s]:
+            if len(positions) == 1:
+                values = self.by_pos[positions[0]][e]
+            else:  # the state fills several slots of t's unfolding
+                values = sorted(set().union(*(self.by_pos[i][e] for i in positions)))
+            base, mask = t * self.nv, self.masks[t]
+            out += ([base + vi for vi in values] if mask is None
+                    else [base + vi for vi in values if not mask[vi]])
+        return out
 
     def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET,
               keep: int | None = None) -> SolveResult:
         """Propagate the constraints into b, branching in cell order over b's
-        elements on the cells they leave free.  Cells hold indices into
-        ``b.elements``.  The right-hand side of a constraint is the code of its
-        value, code(bottom) = 0 and code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i)
-        with n = |B|; b's structure map is read once per code.
+        elements on the cells they leave free: each constraint is decoded when
+        it is popped, and a cell's readers are generated when it is assigned
+        or branched on, in the order a materialised list would give them.
+        Cells hold indices into ``b.elements``.  The right-hand side of a
+        constraint is the code of its value, code(bottom) = 0 and
+        code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i) with n = |B|; b's
+        structure map is read once per code.
 
         The first ``keep`` tables (all when None) are kept in the order of
         ``raw_lawful_tables``.  When there are more, the search stops and
@@ -127,7 +196,8 @@ class _Structure:
         other cells are counted by the same search.  The budget bounds
         propagation steps, branches and kept tables together.
         """
-        constraints, by_dep = self.constraints, self.by_dep
+        readers, nv, ne = self.readers, self.nv, self.ne
+        outs, labs, slots, rows, bases = self.outs, self.labels, self.slots, self.rows, self.bases
         sig, labels = b.sig, b.sig.monoid.elements
         targets = b.elements
         n = len(targets)
@@ -139,7 +209,8 @@ class _Structure:
         solutions = []
         keys = [(s, e) for s in self.states for e in self.elems]
 
-        def image(code, m, deps):
+        def image(code, ci):
+            _, deps, m = self.decode(ci)
             if m < 0:
                 v = BOTTOM
             elif sig.kind == CONST:
@@ -153,9 +224,14 @@ class _Structure:
 
         def propagate(queue, trail) -> bool:
             nonlocal steps
-            while queue:
-                lhs, deps, m = constraints[queue.pop()]
-                code = m
+            while queue:  # each constraint decoded as in ``decode``, inline
+                ci = queue.pop()
+                si, vi = divmod(ci, nv)
+                row, m = rows[si], labs[vi]
+                if row is None or m < 0:
+                    code, deps = -1, ()
+                else:
+                    code, deps = row[m], map(add, bases[si], slots[vi])
                 for d in deps:
                     x = assign[d]
                     if x is None:
@@ -168,12 +244,13 @@ class _Structure:
                     code += 1
                     val = images.get(code)
                     if val is None:
-                        val = image(code, m, deps)
+                        val = image(code, ci)
+                    lhs = si * ne + outs[vi]
                     cur = assign[lhs]
                     if cur is None:
                         assign[lhs] = val
                         trail.append(lhs)
-                        queue.extend(by_dep[lhs])
+                        queue.extend(readers(lhs))
                     elif cur != val:
                         return False
             return True
@@ -212,7 +289,7 @@ class _Structure:
                     if assign[cell] + 1 < n:
                         charge()
                         assign[cell] += 1
-                        queue = list(by_dep[cell])
+                        queue = readers(cell)
                         break
                     assign[cell] = None
                     undo(trail)
@@ -242,8 +319,9 @@ class _Structure:
 
 
 def _build_size(c: Coalgebra, a: Algebra) -> int:
-    """|C|·|F(A)|, the most constraints ``_Structure(c, a)`` builds; raises
-    ``ValueError`` where the solver cannot take (c, a)."""
+    """|C|·|F(A)|, the law instances out of (c, a), which bound the
+    constraints a check over them may visit; raises ``ValueError`` where the
+    solver cannot take (c, a)."""
     labels = a.sig.monoid.elements
     if labels is None:
         raise ValueError(f"{a.sig.monoid.name} is not enumerable; the solver needs finite labels")
@@ -261,7 +339,7 @@ def solve_measurings(c: Coalgebra, a: Algebra, b: Algebra,
     """Count the maps (state, element) -> target element satisfying the
     measuring law, keeping the first ``keep`` of them (all when None), by
     constraint propagation with backtracking on the cells the law leaves
-    free.  A structure build larger than the budget is not started."""
+    free.  A solve over more law instances than the budget is not started."""
     size = _build_size(c, a)
     if b.elements is None:
         raise ValueError("solver needs a finite target carrier")
@@ -397,18 +475,22 @@ def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> 
     constant algebra, at a cell no constraint defines.  There is one, as a
     is finite: under fuel with no infinite path an empty cell leads down to
     one, and an infinite path makes the orbit of alpha(bottom) clash first,
-    its terms growing a level a step.  A structure build larger than the
+    its terms growing a level a step.  A constraint is queued when the last
+    of its cells fills; a cell is defined by some constraint iff its element
+    is in the image of alpha.  A decision over more law instances than the
     budget is not started."""
     if _build_size(c, a) > budget:
         return Report.of("c-initial", f"{c.name} (x) {a.name}", ran_out=True)
     s = _Structure(c, a)
     sig, labels = a.sig, a.sig.monoid.elements
-    cells = [(st, e) for st in s.states for e in s.elems]
     terms = [None] * s.ncells
-    waiting = [len(set(deps)) for _, deps, _ in s.constraints]
+
+    def cell(i):
+        return render_value((s.states[i // s.ne], s.elems[i % s.ne]))
+
     queue, steps, witness = list(s.initial), 0, None
     while queue and not witness and steps < budget:
-        lhs, deps, m = s.constraints[queue.pop()]
+        lhs, deps, m = s.decode(queue.pop())
         steps += 1
         if m < 0 or sig.kind == CONST:
             t = BOTTOM if m < 0 else labels[m]
@@ -416,21 +498,24 @@ def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> 
             t = Node(labels[m], tuple(terms[d] for d in deps))
         if terms[lhs] is None:
             terms[lhs] = t
-            for ci in s.by_dep[lhs]:
-                waiting[ci] -= 1
-                if not waiting[ci]:
+            for ci in s.readers(lhs):  # queued when this was the last of its cells to fill
+                si, vi = divmod(ci, s.nv)
+                for d in map(add, s.bases[si], s.slots[vi]):
+                    if terms[d] is None:
+                        break
+                else:
                     queue.append(ci)
         elif terms[lhs] != t:
             into = (f"{sig.monoid.name} with the identity structure map" if sig.kind == CONST
                     else f"T{_first_difference(terms[lhs], t)}[{sig!r}]")
-            witness = (f"cell {render_value(cells[lhs])}: {render_value(terms[lhs])} and "
+            witness = (f"cell {cell(lhs)}: {render_value(terms[lhs])} and "
                        f"{render_value(t)} clash; no measuring into {into}")
     ran_out = bool(queue) and not witness
     empty = [i for i, t in enumerate(terms) if t is None]
     if empty and not (witness or ran_out):
-        defined = {lhs for lhs, _, _ in s.constraints}
-        i = min(empty, key=defined.__contains__)  # the first one no constraint defines
-        witness = (f"cell {render_value(cells[i])} is defined by no constraint; the 2-element "
+        # a cell is defined iff its element is some value's output
+        i = next((i for i in empty if not s.image[i % s.ne]), empty[0])
+        witness = (f"cell {cell(i)} is defined by no constraint; the 2-element "
                    "algebra with a constant structure map has >= 2 measurings")
     return Report.of("c-initial", f"{c.name} (x) {a.name}", [witness] if witness else (),
                      ran_out=ran_out, checked=steps)

@@ -1,14 +1,17 @@
 """Test-side helpers: seeded random instance families, the product-and-filter
 reference that ``cind.oracle``'s forcing search for machine morphisms is
-checked against, and measuring comparisons.  None of them is part of the
-package."""
+checked against, the materialised constraint list that the solver's streamed
+structure is checked against, and measuring comparisons.  None of them is
+part of the package."""
 
 import itertools
 import random
+from operator import add
+from types import SimpleNamespace
 
 from cind.carriers import (Algebra, Coalgebra, coalgebra, is_coalgebra_morphism,
                            table_algebra)
-from cind.kernel import FunctorSig, fvalues
+from cind.kernel import CONST, FunctorSig, fvalues, is_bottom
 from cind.measuring import Measuring, _pointwise_mismatches, table_measuring
 
 
@@ -37,6 +40,60 @@ def product_coalgebra_morphisms(c: Coalgebra, d: Coalgebra) -> tuple:
     maps = (dict(zip(c.states, combo))
             for combo in itertools.product(d.states, repeat=len(c.states)))
     return tuple(f for f in maps if is_coalgebra_morphism(f, c, d))
+
+
+def materialized_constraints(c: Coalgebra, a: Algebra) -> SimpleNamespace:
+    """Every constraint of the measuring law out of (c, a), built up front:
+    the reference for ``oracle._Structure``, which decodes them on demand.
+    One per (state, signature value), in that order, less the ones an earlier
+    one repeats; each is (lhs, deps, label) over cells ``s * |A| + e``, the
+    label an index into the finite monoid, -1 for bottom.  Also returns, per
+    cell, the constraints that read it (``by_dep``), the constraints that
+    read no cell (``initial``), and the cells that no constraint reads or
+    defines (``loose``)."""
+    sig, labels = a.sig, a.sig.monoid.elements
+    lindex = {m: i for i, m in enumerate(labels)}
+    sindex = {s: i for i, s in enumerate(c.states)}
+    eindex = {e: i for i, e in enumerate(a.elements)}
+    ne = len(a.elements)
+    values = []  # (output, label, slots) per value, as indices
+    for v in fvalues(sig, a.elements):
+        out = eindex[a.alpha(v)]
+        if sig.kind == CONST:
+            values.append((out, lindex[v], ()))
+        elif is_bottom(v):
+            values.append((out, -1, ()))
+        else:
+            values.append((out, lindex[v.label], tuple(eindex[x] for x in v.slots)))
+    op = sig.monoid.op
+    products = [[lindex[op(x, y)] for y in labels] for x in labels]
+    seen, constraints = set(), []
+    for si, s in enumerate(c.states):
+        chi = c.chi[s]
+        if sig.kind == CONST:
+            row, bases = products[lindex[chi]], ()
+        elif is_bottom(chi):
+            row = None
+        else:
+            row, bases = products[lindex[chi.label]], [sindex[cs] * ne for cs in chi.slots]
+        for out, m, slots in values:
+            if row is None or m < 0:
+                cons = (si * ne + out, (), -1)
+            else:
+                cons = (si * ne + out, tuple(map(add, bases, slots)), row[m])
+            if cons not in seen:
+                seen.add(cons)
+                constraints.append(cons)
+    ncells = len(c.states) * ne
+    by_dep = [[] for _ in range(ncells)]
+    for ci, (_, deps, _) in enumerate(constraints):
+        for d in set(deps):
+            by_dep[d].append(ci)
+    defined = {lhs for lhs, _, _ in constraints}
+    return SimpleNamespace(
+        constraints=constraints, by_dep=by_dep,
+        initial=[ci for ci, (_, deps, _) in enumerate(constraints) if not deps],
+        loose=[cell for cell, users in enumerate(by_dep) if not users and cell not in defined])
 
 
 def solutions_as_measurings(c, a, b, result) -> list:

@@ -700,6 +700,27 @@ check c-initial D L
                                  "[budget] c-initial unfold8 (x) T8[shape(B,1)]  (exhaustive)"]
 
 
+@pytest.mark.parametrize("argv", [["check", "SCRIPT"], ["gallery", "nat_as_lists"]],
+                         ids=["check", "gallery"])
+def test_cli_out_of_memory_is_exit_3_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    # running out of memory is not a failed check: no traceback, exit 3
+    def build(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "_Structure", build)
+    path = tmp_path / "script.cind"
+    path.write_text("""monoid B = table {0, 1} max 0
+functor G = shape(B, 1)
+alg L = bounded(G, 2)
+coalg D = dual(L)
+check unique D L L
+""")
+    code, text = _main([str(path) if a == "SCRIPT" else a for a in argv])
+    assert code == 3 and not text
+    err = capsys.readouterr().err
+    assert err.startswith("cind: out of memory running ") and err.count("\n") == 1
+
+
 def test_cli_count_of_many_free_cells_builds_no_tables(tmp_path):
     # 12 free cells: 3^12 lawful tables, counted as a product, none built
     import tracemalloc
