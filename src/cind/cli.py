@@ -5,8 +5,10 @@ cind demo prune --shape S --tree T      overlay a fuel shape onto a tree
 cind gallery NAME [--json]              run a named example setup
 
 Exit codes: 0 all checks hold, 1 a check failed, 2 usage, parse or script
-error, 3 a budget was exceeded or memory ran out (one ``cind: out of memory``
-line, no traceback).  CIND_BUDGET overrides the default budget.
+error, 3 a budget was exceeded, memory ran out, or ``demo prune``'s terms
+are too deep to evaluate (about 496 levels for the two together); the last
+two print one ``cind: ...`` line, no traceback.  CIND_BUDGET overrides the
+default budget.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ def cmd_demo_prune(args, out) -> int:
     except dsl.DslError as exc:
         print(f"cind: parse error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the measuring's evaluation recurses per level
+        print("cind: the shape and the tree are too deep to prune "
+              "(about 496 levels together)", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -368,11 +368,14 @@ def _machine(name, sig, pairs):
 
 
 def _solve(name, c, a, b, budget):
-    """A measure's solve report and its first lawful table as a measuring."""
+    """A measure's solve report and its first lawful table as a measuring;
+    None for the measuring if the solve ran out before keeping a table."""
     result = oracle.solve_measurings(c, a, b, budget, keep=1)
     report = kernel.Report.of(
         "solve", name, (f"{result.count} lawful tables",),
         failed=not result.solutions, ran_out=not result.exhaustive)
+    if not result.solutions and not result.exhaustive:
+        return report, None
     table = result.solutions[0] if result.solutions else {}
     return report, measuring.table_measuring(c, a, b, table, name)
 
@@ -582,7 +585,7 @@ def _monoid(d: MonoidDecl) -> kernel.Monoid:
     if opname not in _OPS:
         raise ValueError(f"unknown table op {opname!r}")
     m = kernel.finite_monoid(d.name, elems, _OPS[opname](unit), unit)
-    report = kernel.monoid_check(m, len(elems) ** 3)  # every triple
+    report = kernel.monoid_check(m)
     if not report.ok:
         raise ValueError(f"{d.name} is not a monoid: {report.witnesses[0]}")
     return m
@@ -629,6 +632,8 @@ def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
     refs = [v for k, v in d.args if k == "ref"]
     ints = [v for k, v in d.args if k == "int"]
     if d.kind == "law":
+        if env[refs[0]] is None:  # its solve ran out before keeping a table
+            return kernel.Report.of("law", refs[0], ran_out=True)
         try:
             return measuring.check_law(env[refs[0]], max_witnesses=5)
         except ValueError as exc:

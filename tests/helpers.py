@@ -1,8 +1,9 @@
 """Test-side helpers: seeded random instance families, the product-and-filter
 reference that ``cind.oracle``'s forcing search for machine morphisms is
 checked against, the materialised constraint list that the solver's streamed
-structure is checked against, and measuring comparisons.  None of them is
-part of the package."""
+structure is checked against, the brute-force laxness check that
+``cind.kernel.nat_check_lax`` is checked against, and measuring comparisons.
+None of them is part of the package."""
 
 import itertools
 import random
@@ -11,7 +12,9 @@ from types import SimpleNamespace
 
 from cind.carriers import (Algebra, Coalgebra, coalgebra, is_coalgebra_morphism,
                            table_algebra)
-from cind.kernel import CONST, FunctorSig, fvalues, is_bottom
+from cind.kernel import (CONST, FunctorSig, NatTransform, Report, _sample_labels,
+                         functor_map, fvalues, is_bottom, nat_apply, unit_value,
+                         zip_values)
 from cind.measuring import Measuring, _pointwise_mismatches, table_measuring
 
 
@@ -40,6 +43,57 @@ def product_coalgebra_morphisms(c: Coalgebra, d: Coalgebra) -> tuple:
     maps = (dict(zip(c.states, combo))
             for combo in itertools.product(d.states, repeat=len(c.states)))
     return tuple(f for f in maps if is_coalgebra_morphism(f, c, d))
+
+
+def sampled_nat_check_lax(mu: NatTransform, payloads=((0, 1, 2), (0, 1, 2)),
+                          max_functions: int = 81) -> Report:
+    """Naturality against every function between the two payload sets
+    (capped at max_functions, which samples them), and the zip and unit
+    squares on every value pair over the source's labels: the brute-force
+    reference for ``cind.kernel.nat_check_lax``.  A label the hom does not
+    map raises ``ValueError``."""
+    xs, ys = tuple(payloads[0]), tuple(payloads[1])
+    labels, listed = _sample_labels(mu.source.monoid)
+    us = fvalues(mu.source, xs, labels)
+    vs = fvalues(mu.source, ys, labels)
+    violations = []
+    checked = 0
+
+    funcs = []
+    for combo in itertools.product(range(len(ys)), repeat=len(xs)):
+        funcs.append({x: ys[i] for x, i in zip(xs, combo)})
+        if len(funcs) >= max_functions:
+            break
+    sampled = []
+    if len(funcs) < len(ys) ** len(xs):
+        sampled.append(f"{len(funcs)} of {len(ys) ** len(xs)} functions")
+    sampled.extend(listed)
+
+    for fn in funcs:
+        f = fn.__getitem__
+        for u in us:
+            checked += 1
+            lhs = nat_apply(mu, functor_map(mu.source, f, u))
+            rhs = functor_map(mu.target, f, nat_apply(mu, u))
+            if lhs != rhs:
+                violations.append(("naturality", tuple(sorted(fn.items(), key=str)), u, lhs, rhs))
+
+    for u in us:
+        for v in vs:
+            checked += 1
+            lhs = nat_apply(mu, zip_values(mu.source, u, v))
+            rhs = zip_values(mu.target, nat_apply(mu, u), nat_apply(mu, v))
+            if lhs != rhs:
+                violations.append(("zip", u, v, lhs, rhs))
+
+    checked += 1
+    lhs = nat_apply(mu, unit_value(mu.source))
+    rhs = unit_value(mu.target)
+    if lhs != rhs:
+        violations.append(("unit", lhs, rhs))
+
+    return Report.of("nat", repr(mu), violations, checked=checked,
+                     sampled="; ".join(sampled) or None)
 
 
 def materialized_constraints(c: Coalgebra, a: Algebra) -> SimpleNamespace:

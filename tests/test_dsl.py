@@ -321,6 +321,12 @@ def test_cli_budget_exit_code(capsys):
     assert "cind: CIND_BUDGET must not be negative, got -5" in capsys.readouterr().err
     code, _ = _main(["check", path, "--budget", "0"])
     assert code == 3
+    # a solve that runs out before keeping a table leaves its law check at budget
+    for name, budget, measure in (("pulling_back_lists", "5", "zip2"),
+                                  ("truth_monoid", "1", "phi")):
+        code, text = _main(["check", str(FIXTURE_DIR / f"{name}.cind"), "--budget", budget])
+        assert code == 3
+        assert f"[budget] law {measure}  (exhaustive)" in text.splitlines()
 
 
 def test_cli_demo_prune_clauses():
@@ -351,6 +357,14 @@ def test_deep_terms_parse_without_recursion():
 def test_cli_demo_prune_of_a_deep_shape():
     code, text = _main(["demo", "prune", "--shape", _deep_shape(1200), "--tree", "(1 #b #b)"])
     assert code == 0 and text.strip() == "(2 #b #b)"
+
+
+def test_cli_demo_prune_past_the_recursion_limit_exits_3(capsys):
+    deep = _deep_shape(600)
+    code, text = _main(["demo", "prune", "--shape", deep, "--tree", deep])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == (
+        "cind: the shape and the tree are too deep to prune (about 496 levels together)\n")
 
 
 def test_cli_demo_prune_rejects_bad_terms(capsys):

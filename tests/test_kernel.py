@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
                          nat_check_lax, nat_transform, node, shape_sig,
                          const_sig, unit_hom, unit_value,
                          zip_values)
+from helpers import sampled_nat_check_lax
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ def test_bool_or_is_a_monoid():
 
 
 def test_nat_plus_sampled_is_clean():
-    report = monoid_check(NAT_PLUS, budget=100)
+    report = monoid_check(NAT_PLUS)
     assert report.ok
     assert report.coverage.startswith("sampled: ")
 
@@ -315,7 +317,64 @@ def test_every_valid_transform_is_lax_on_small_carriers():
            nat_transform(const_sig(TRUTH_AND), const_sig(TRUTH_OR),
                          hom(TRUTH_AND, TRUTH_OR, {"T": "F", "F": "T"}))]
     for mu in mus:
-        assert nat_check_lax(mu, payloads=(range(4), range(4))).ok
+        assert nat_check_lax(mu).ok
+
+
+def _small_monoids():
+    """Every monoid on {0, .., n-1} with unit 0, for n = 1, 2, 3."""
+    out = []
+    for n in (1, 2, 3):
+        elems = tuple(range(n))
+        rest = [(a, b) for a in elems[1:] for b in elems[1:]]
+        for combo in itertools.product(elems, repeat=len(rest)):
+            table = dict(zip(rest, combo))
+            m = finite_monoid(f"M{n}.{len(out)}", elems,
+                              lambda a, b, t=table: t.get((a, b), a if b == 0 else b), 0)
+            if monoid_check(m).ok:
+                out.append(m)
+    return out
+
+
+def test_nat_check_lax_agrees_with_the_brute_force_reference():
+    # random label maps between small monoids, most of them lawless, under
+    # const signatures and shape arities 0-2; the reference tries every map
+    # between two 2-element payload sets and every value pair over them
+    monoids = _small_monoids()
+    assert len(monoids) > 6
+    rng = random.Random(19)
+    failed = unit_only = 0
+    for trial in range(1200):
+        src, dst = rng.choice(monoids), rng.choice(monoids)
+        h = hom(src, dst, {x: rng.choice(dst.elements) for x in src.elements})
+        if trial % 4 == 0:
+            mu = nat_transform(const_sig(src), const_sig(dst), h)
+        else:
+            a = rng.randint(0, 2)
+            b = rng.randint(0, 2) if a else 0  # no slot to copy from arity 0
+            mu = nat_transform(shape_sig(src, a), shape_sig(dst, b), h,
+                               tuple(rng.randrange(a) for _ in range(b)))
+        report = nat_check_lax(mu)
+        reference = sampled_nat_check_lax(mu, ((0, 1), (0, 1)))
+        assert report.ok == reference.ok, (mu, h.mapping)
+        kinds = {w[0] for w in report.witnesses}
+        assert kinds == {w[0] for w in reference.witnesses}
+        failed += not report.ok
+        unit_only += kinds == {"unit"}
+    assert 300 < failed < 1100 and unit_only > 20
+
+
+def test_nat_check_lax_over_builtin_nat_checks_the_listed_labels():
+    # a table out of builtin nat that does not list 0: the reference's
+    # sample 0, 1, 2 meets an unmapped label, the check reads what is listed
+    sig = shape_sig(NAT_PLUS, 1)
+    doubling = nat_transform(sig, sig, hom(NAT_PLUS, NAT_PLUS, {1: 2, 2: 4}), (0,))
+    with pytest.raises(ValueError):
+        sampled_nat_check_lax(doubling)
+    report = nat_check_lax(doubling)
+    assert report.ok and report.coverage == "sampled: labels 1, 2"
+    skewed = nat_transform(sig, sig, hom(NAT_PLUS, NAT_PLUS, {1: 2, 2: 5}), (0,))
+    assert nat_check_lax(skewed).violations == (("zip", (1, 1), 5, 4),)
+    assert nat_check_lax(identity_nat(sig)).coverage == "sampled: labels 0, 1, 2"
 
 
 def test_builtin_carrier_declines_enumeration():
