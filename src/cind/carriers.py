@@ -91,8 +91,8 @@ def terms_up_to(sig: FunctorSig, depth: int, labels=None) -> tuple:
         if size > MAX_TERMS:
             raise ValueError(f"the terms of depth <= {k} over {sig!r} number {size}, "
                              f"more than {MAX_TERMS}")
-        known = set(map(id, out))  # equal terms are one object; ids hash in C
-        layer = [v for v in fvalues(sig, out, labels) if id(v) not in known]
+        known = set(out)
+        layer = [v for v in fvalues(sig, out, labels) if v not in known]
         if not layer:
             break
         out.extend(layer)

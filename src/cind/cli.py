@@ -5,15 +5,16 @@ cind demo prune --shape S --tree T      overlay a fuel shape onto a tree
 cind gallery NAME [--json]              run a named example setup
 
 Exit codes: 0 all checks hold, 1 a check failed, 2 usage, parse or script
-error, 3 a budget was exceeded, memory ran out, or ``demo prune``'s terms
-are too deep to evaluate (about 496 levels for the two together); the last
-two print one ``cind: ...`` line, no traceback.  CIND_BUDGET overrides the
-default budget.
+error, 3 a budget was exceeded, memory ran out, ``demo prune``'s terms are
+too deep to evaluate (about 496 levels for the two together), or stdout was
+closed before the output was all written; the last three print one
+``cind: ...`` line, no traceback.  CIND_BUDGET overrides the default budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,8 +105,9 @@ def cmd_gallery(args, out) -> int:
     return kernel.exit_code(fixture.reports)
 
 
-def main(argv=None, out=None) -> int:
-    out = out or sys.stdout
+@functools.cache
+def _parser():
+    """The argument parser and its ``demo`` subparser, built once per process."""
     parser = argparse.ArgumentParser(prog="cind")
     sub = parser.add_subparsers(dest="command")
 
@@ -124,22 +126,33 @@ def main(argv=None, out=None) -> int:
     p_gal.add_argument("name")
     p_gal.add_argument("--json", action="store_true")
     p_gal.add_argument("--budget", type=int)
+    return parser, p_demo
 
+
+def main(argv=None, out=None) -> int:
+    out = out or sys.stdout
+    parser, p_demo = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "check":
-            return cmd_check(args, out)
-        if args.command == "gallery":
-            return cmd_gallery(args, out)
-    except SystemExit as exc:  # argparse usage errors and a bad CIND_BUDGET
-        return 2 if exc.code not in (0, None) else 0
-    if args.command == "demo":
-        if args.demo_command == "prune":
-            return cmd_demo_prune(args, out)
-        p_demo.print_help(out)
-        return 2
-    parser.print_help(out)
-    return 2
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "check":
+                code = cmd_check(args, out)
+            elif args.command == "gallery":
+                code = cmd_gallery(args, out)
+            elif args.command == "demo" and args.demo_command == "prune":
+                code = cmd_demo_prune(args, out)
+            else:
+                (p_demo if args.command == "demo" else parser).print_help(out)
+                code = 2
+        except SystemExit as exc:  # argparse usage errors and a bad CIND_BUDGET
+            code = 2 if exc.code not in (0, None) else 0
+        out.flush()
+    except BrokenPipeError:  # the reader left early, as ``| head`` does
+        if out is sys.stdout:  # the interpreter's last flush needs somewhere to go
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        print("cind: the output was closed before it was all written", file=sys.stderr)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -307,7 +307,7 @@ def shape_sig(m: Monoid, arity: int) -> FunctorSig:
 
 class BottomType:
     """The bottom value.  There is one, ``BOTTOM``; it equals only itself and
-    has a fixed hash, the same in every process."""
+    hashes by identity."""
 
     __slots__ = ()
 
@@ -317,23 +317,18 @@ class BottomType:
     def __repr__(self):
         return "#b"
 
-    def __hash__(self):
-        return _BOTTOM_HASH
-
     def __reduce__(self):
         return "BOTTOM"
 
 
 BOTTOM = object.__new__(BottomType)
-_BOTTOM_HASH = hash(())  # fixed, so orders of sets holding bottom repeat from run to run
 
 
 class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-_interned: dict = {}  # hash -> weak reference to the node with that hash
-_clashes = weakref.WeakValueDictionary()  # (label, slots) -> node, on a hash clash
+_interned: dict = {}  # (label, slots) -> weak reference to the node built from them
 _init = object.__setattr__
 
 
@@ -345,43 +340,35 @@ def _forget(ref):
 class Node:
     """A labelled node; its slots are terms, states or other values.
 
-    Nodes are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
+    Nodes are hash-consed (Goto, *Monocopy and associative algorithms in
+    extended Lisp*, 1974; Filliâtre & Conchon, *Type-Safe Modular
     Hash-Consing*, 2006): ``Node(label, slots)`` returns the one live node
     with that label and those slots, so equal nodes are the same object.
-    Equality is identity, and the hash is computed once, at construction,
-    from the children's cached hashes.  Neither walks the term, so a term of
-    any depth hashes and compares in constant time.  The intern table holds
-    nodes weakly: an entry leaves with its node.  Nodes are immutable.
-    Building them is not thread-safe: build terms from one thread.
+    Equality is identity and the hash is the identity hash, both computed in
+    C without walking the term, so a term of any depth hashes and compares
+    in constant time.  Identity hashes differ from run to run, so nothing
+    may depend on the order of a set of nodes.  The intern table holds nodes
+    weakly: an entry leaves with its node.  Nodes are immutable.  Building
+    them is not thread-safe: build terms from one thread.
     """
 
-    __slots__ = ("label", "slots", "_hash", "__weakref__")
+    __slots__ = ("label", "slots", "__weakref__")
 
     def __new__(cls, label, slots):
-        h = hash((label, slots))
-        ref = _interned.get(h)
+        key = label, slots
+        ref = _interned.get(key)
         n = ref() if ref is not None else None
-        if n is not None and n.label == label and n.slots == slots:
+        if n is not None:
             return n
-        if _clashes:
-            twin = _clashes.get((label, slots))
-            if twin is not None:
-                return twin
         new = object.__new__(cls)
         _init(new, "label", label)
         _init(new, "slots", slots)
-        _init(new, "_hash", h)
-        if n is None:
-            ref = _interned[h] = _Ref(new, _forget)
-            ref.key = h
-        else:  # another live node owns this hash
-            _clashes[label, slots] = new
+        ref = _interned[key] = _Ref(new, _forget)
+        ref.key = key
         return new
 
     __eq__ = object.__eq__  # identity
-
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Node is immutable: cannot set {name!r}")

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Callable
 
 from .carriers import Algebra, Coalgebra, tensor_coalgebra, unit_coalgebra
-from .kernel import (CONST, NatTransform, Report, fvalues,
+from .kernel import (BOTTOM, CONST, NatTransform, Node, Report, _check_node, fvalues,
                      nat_apply, _sample_labels, unit_value, zip_values)
 from .transport import (expand_algebra, pullback_algebra, pushforward_coalgebra,
                         pushout_algebra, restrict_coalgebra)
@@ -58,16 +58,46 @@ def table_measuring(c: Coalgebra, a: Algebra, b: Algebra, table: dict, name="") 
 # the defining law
 
 
-def _law_mismatches(phi: Measuring, values):
-    """Yield (state, value, got, expected) wherever the one-step law fails;
-    ``values`` are the (value, source.alpha(value)) pairs to check and the
-    measuring's map is called directly."""
+def _law_mismatches(phi: Measuring, elems, values):
+    """Yield (state, value, got, expected) wherever the one-step law fails,
+    in (state, value) order; ``values`` are the (value, source.alpha(value))
+    pairs to check, whose slots lie in ``elems``.
+
+    The measuring's map is called directly, on the left-hand side first.  A
+    right-hand side reads the map at the value's slots from rows: a state's
+    row maps every element of ``elems`` to the map's value there, and is
+    built once, after the first left-hand side of a state whose unfolding
+    names it.  So each (state, element) pair is evaluated once per check."""
     rule, chi, sig, alpha = phi.rule, phi.coalg.chi, phi.source.sig, phi.target.alpha
+    op = sig.monoid.op
+    if sig.kind == CONST:
+        for c in phi.coalg.states:
+            chi_c = chi[c]
+            for v, out in values:
+                lhs = rule(c, out)
+                rhs = alpha(op(chi_c, v))
+                if lhs != rhs:
+                    yield (c, v, lhs, rhs)
+        return
+    bottom = alpha(BOTTOM)
+    rows = {}
     for c in phi.coalg.states:
         chi_c = chi[c]
+        slot_rows = None
         for v, out in values:
             lhs = rule(c, out)
-            rhs = alpha(zip_values(sig, chi_c, v, rule))
+            if v is BOTTOM or chi_c is BOTTOM:
+                rhs = bottom
+            else:
+                if slot_rows is None:
+                    if len(chi_c.slots) != sig.arity:
+                        _check_node(sig, chi_c)
+                    for d in chi_c.slots:
+                        if d not in rows:
+                            rows[d] = {e: rule(d, e) for e in elems}
+                    slot_rows = [rows[d] for d in chi_c.slots]
+                rhs = alpha(Node(op(chi_c.label, v.label),
+                                 tuple([row[x] for row, x in zip(slot_rows, v.slots)])))
             if lhs != rhs:
                 yield (c, v, lhs, rhs)
 
@@ -94,7 +124,8 @@ def check_law(phi: Measuring, depth: int = 3, labels=None,
     if budget is not None and checked > budget:
         return Report.of("law", phi.name, ran_out=True, sampled=sampled)
     alpha = phi.source.alpha
-    violations = islice(_law_mismatches(phi, [(v, alpha(v)) for v in values]), max_witnesses)
+    violations = islice(_law_mismatches(phi, elems, [(v, alpha(v)) for v in values]),
+                        max_witnesses)
     return Report.of("law", phi.name, violations, checked=checked, sampled=sampled)
 
 

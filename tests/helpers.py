@@ -2,8 +2,9 @@
 reference that ``cind.oracle``'s forcing search for machine morphisms is
 checked against, the materialised constraint list that the solver's streamed
 structure is checked against, the brute-force laxness check that
-``cind.kernel.nat_check_lax`` is checked against, and measuring comparisons.
-None of them is part of the package."""
+``cind.kernel.nat_check_lax`` is checked against, the per-instance law check
+that ``cind.measuring.check_law`` is checked against, and measuring
+comparisons.  None of them is part of the package."""
 
 import itertools
 import random
@@ -162,3 +163,34 @@ def measurings_equal(m1: Measuring, m2: Measuring, elems=None, depth: int = 3,
     if elems is None:
         elems, _ = m1.source.carrier(depth, labels)
     return not _pointwise_mismatches(m1, m2, m1.coalg.states, elems, state_map, limit=1)
+
+
+def per_instance_check_law(phi: Measuring, depth: int = 3, labels=None,
+                           budget: int = None, max_witnesses: int = 20) -> Report:
+    """The measuring law checked one (state, value) instance at a time, each
+    right-hand side built by ``zip_values`` with the measuring's map on the
+    slots: the reference for ``cind.measuring.check_law``, which reads the
+    right-hand sides from rows."""
+    if phi.source.sig != phi.coalg.sig or phi.source.sig != phi.target.sig:
+        raise ValueError("measuring endpoints live over different signatures")
+    elems, sampled = phi.source.carrier(depth, labels)
+    monoid = phi.source.sig.monoid
+    labels, listed = _sample_labels(monoid, None if monoid.finite else labels)
+    sampled = "; ".join(dict.fromkeys(sampled + listed)) or None
+    values = fvalues(phi.source.sig, elems, labels)
+    checked = len(phi.coalg.states) * len(values)
+    if budget is not None and checked > budget:
+        return Report.of("law", phi.name, ran_out=True, sampled=sampled)
+    rule, chi, sig = phi.rule, phi.coalg.chi, phi.source.sig
+    pairs = [(v, phi.source.alpha(v)) for v in values]
+
+    def mismatches():
+        for c in phi.coalg.states:
+            for v, out in pairs:
+                lhs = rule(c, out)
+                rhs = phi.target.alpha(zip_values(sig, chi[c], v, rule))
+                if lhs != rhs:
+                    yield (c, v, lhs, rhs)
+
+    return Report.of("law", phi.name, itertools.islice(mismatches(), max_witnesses),
+                     checked=checked, sampled=sampled)

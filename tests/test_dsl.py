@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -377,6 +379,37 @@ def test_cli_demo_prune_rejects_bad_terms(capsys):
         assert code == 2
         assert capsys.readouterr().err == (
             f"cind: parse error: {which} must be a binary tree with natural-number labels\n")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_output_closed_early_exits_3_with_one_line(capsys):
+    code = cli.main(["gallery", "nat_as_lists", "--json"], out=_ClosedPipe())
+    assert code == 3
+    assert capsys.readouterr().err == "cind: the output was closed before it was all written\n"
+
+
+def test_cli_through_a_pipe_closed_early_exits_3_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.Popen([sys.executable, "-m", "cind.cli", "gallery", "nat_as_lists", "--json"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    run.stdout.close()  # before the interpreter has started, so every write fails
+    _, err = run.communicate(timeout=60)
+    assert run.returncode == 3
+    assert err == "cind: the output was closed before it was all written\n"
+
+
+def test_cli_builds_its_parser_once():
+    cli._parser()
+    before = cli._parser.cache_info()
+    _main(["gallery", "mystery"])
+    _main([])
+    after = cli._parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
 
 
 def test_cli_gallery_unknown_name():

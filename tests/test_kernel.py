@@ -51,9 +51,10 @@ def test_deep_terms_hash_and_compare_without_recursion():
 
 
 def test_hash_clashes_keep_distinct_terms_apart():
-    # hash(-1) == hash(-2) in CPython, so these two nodes share a hash
+    # hash(-1) == hash(-2) in CPython, so the intern keys of these two nodes
+    # share a hash
+    assert hash(-1) == hash(-2) and hash((-1, ("clash",))) == hash((-2, ("clash",)))
     a, b = node(-1, "clash"), node(-2, "clash")
-    assert hash(a) == hash(b)
     assert a is not b and a.label == -1 and b.label == -2
     assert node(-1, "clash") is a and node(-2, "clash") is b
     assert node(-1, a) is not node(-2, b) and node(-2, b) is node(-2, b)
@@ -76,11 +77,13 @@ def test_nodes_reject_attribute_assignment():
 
 def test_unreachable_nodes_leave_the_intern_table():
     t = _deep_list(300, labels=("only here",))
-    size, top = len(kernel._interned), hash(t)
-    assert kernel._interned[top]() is t
+    size, key = len(kernel._interned), (t.label, t.slots)
+    assert kernel._interned[key]() is t
     del t
     gc.collect()
-    assert top not in kernel._interned
+    assert key not in kernel._interned
+    del key  # it holds the node's child, which leaves with it
+    gc.collect()
     assert len(kernel._interned) <= size - 300
 
 

@@ -3,23 +3,24 @@ import random
 
 import pytest
 
-from cind.carriers import (Algebra, coalgebra, finite_algebra, fold,
+from cind.carriers import (Algebra, Coalgebra, coalgebra, finite_algebra, fold,
                            initial_term_algebra, nat_counter,
                            term_algebra_bounded, term_as_coalgebra,
                            term_unfold_coalgebra, tensor_coalgebra,
                            unit_coalgebra)
 from cind.kernel import (BOOL_OR, BOTTOM, NAT_PLUS, STAR, TRIV, TRUTH_AND,
-                         TRUTH_OR, collapse_hom, const_sig, hom,
+                         TRUTH_OR, collapse_hom, const_sig, finite_monoid, hom,
                          identity_hom, identity_nat, is_bottom, nat_transform,
-                         node, shape_sig, unit_hom, zip_values)
+                         Node, node, shape_sig, unit_hom, zip_values)
 from cind.measuring import (Measuring, canonical_const_measuring,
                             canonical_term_measuring, check_law, compose,
                             embed_measuring, from_morphism, pull_measuring,
                             push_measuring, table_measuring, to_morphism)
-from cind.oracle import check_respects_composition, raw_lawful_tables
+from cind.oracle import check_respects_composition, raw_lawful_tables, solve_measurings
 from cind.transport import (expand_algebra, pullback_algebra,
                             pushforward_coalgebra)
-from helpers import measurings_equal, random_algebra, random_coalgebra
+from helpers import (measurings_equal, per_instance_check_law, random_algebra,
+                     random_coalgebra)
 
 F1 = shape_sig(TRIV, 1)
 G1 = shape_sig(BOOL_OR, 1)
@@ -107,6 +108,75 @@ def test_check_law_passes_exactly_the_raw_oracles_tables():
             tried += 1
         lawful += len(raw)
     assert tried > 400 and 0 < lawful < tried
+
+
+def _law_or_error(check, phi, **kwargs):
+    """The report of a law check, or the text of the ValueError it raised."""
+    try:
+        return check(phi, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+FIRST = finite_monoid("First", (0, 1, 2), lambda x, y: x or y, 0)  # not commutative
+
+
+def _random_measurings(rng):
+    """Seeded measurings for the law-check differential: canonical and table
+    measurings over const signatures and shape signatures of arity 0-2, on
+    machines that may hold bottom states, each lawful table also with one
+    entry flipped, and the empty table."""
+    sig = rng.choice([const_sig(BOOL_OR), const_sig(FIRST), shape_sig(TRIV, 0),
+                      shape_sig(FIRST, 0), shape_sig(TRIV, 1), shape_sig(BOOL_OR, 1),
+                      shape_sig(FIRST, 1), shape_sig(TRIV, 2), shape_sig(BOOL_OR, 2),
+                      shape_sig(FIRST, 2)])
+    c = random_coalgebra(sig, rng.randint(1, 3), rng)
+    if sig.kind == "const":
+        a = random_algebra(sig, rng.randint(1, 3), rng)
+        try:
+            yield canonical_const_measuring(c, a, random_algebra(sig, rng.randint(1, 3), rng))
+        except ValueError:  # a is not interpreted onto its carrier
+            pass
+    else:
+        a = term_algebra_bounded(sig, rng.randint(0, 1 if sig.arity == 2 else 3))
+        b = rng.choice([a, term_algebra_bounded(sig, rng.randint(0, 2)),
+                        random_algebra(sig, rng.randint(1, 3), rng)])
+        prune = canonical_term_measuring(c, a, b)
+        yield prune
+        key, other = (rng.choice(c.states), rng.choice(a.elements)), rng.choice(b.elements)
+        yield Measuring(c, a, b, lambda s, x: other if (s, x) == key else prune(s, x),
+                        name="prune-flipped")
+    b = random_algebra(sig, rng.randint(1, 3), rng)
+    cells = [(s, x) for s in c.states for x in a.elements]
+    yield table_measuring(c, a, b, {cell: rng.choice(b.elements) for cell in cells}, "random")
+    solved = solve_measurings(c, a, b, keep=1).solutions
+    if solved:
+        yield table_measuring(c, a, b, solved[0], "solved")
+        flipped = dict(solved[0])
+        cell = rng.choice(cells)
+        flipped[cell] = rng.choice([y for y in b.elements if y != flipped[cell]] or b.elements)
+        yield table_measuring(c, a, b, flipped, "flipped")
+    yield table_measuring(c, a, b, {}, "empty")
+    if sig.kind == "shape":  # a machine whose first state unfolds with one slot too many
+        s = c.states[0]
+        wide = Coalgebra(sig, c.states, {**c.chi, s: Node(sig.monoid.unit, (s,) * (sig.arity + 1))})
+        yield table_measuring(wide, a, b, {cell: rng.choice(b.elements) for cell in cells}, "wide")
+
+
+def test_check_law_agrees_with_the_per_instance_reference():
+    # the rows check_law reads its right-hand sides from must give the same
+    # status, witnesses in order, count checked, or ValueError text as
+    # building each right-hand side with zip_values
+    rng = random.Random(2424)
+    compared, outcomes = 0, set()
+    while compared < 1000:
+        for phi in _random_measurings(rng):
+            limit = rng.choice([1, 5, 20])
+            ours = _law_or_error(check_law, phi, max_witnesses=limit)
+            assert ours == _law_or_error(per_instance_check_law, phi, max_witnesses=limit)
+            outcomes.add(ours.split(" ")[1] if isinstance(ours, str) else ours.status)
+            compared += 1
+    assert outcomes == {"holds", "fails", "measuring", "arity"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The users' own output, pinned: `cind gallery NAME --json` for every setup
-and `cind check FIXTURE --json` for every fixture script, byte for byte, and
-the coverage each report states."""
+and `cind check FIXTURE --json` for every fixture script, byte for byte, in
+this process and in fresh ones under other hash seeds, and the coverage each
+report states."""
 
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,24 @@ def test_json_output_matches_snapshot(command, name):
     code, text = run(name, "--json")
     assert code == 0
     assert text == (SNAPSHOTS / f"{command}_{name}.json").read_text(encoding="utf-8")
+
+
+def test_json_output_repeats_across_processes_and_hash_seeds():
+    # terms hash by identity and strings by PYTHONHASHSEED, so both change
+    # from process to process; no output may depend on either
+    argvs = [[command, name if command == "gallery" else str(FIXTURE_DIR / f"{name}.cind"),
+              "--json"] for command in ("gallery", "check") for name in sorted(GALLERY)]
+    script = ("import sys\nfrom cind import cli\n"
+              f"sys.exit(any([cli.main(argv) for argv in {argvs!r}]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+            for seed in ("0", "1")]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == "".join((SNAPSHOTS / f"{command}_{name}.json").read_text(encoding="utf-8")
+                                 for command in ("gallery", "check") for name in sorted(GALLERY))
 
 
 def _coverage_by_report(text_out, json_reports):
