@@ -29,7 +29,7 @@ from .measuring import (Measuring, canonical_const_measuring, canonical_term_mea
                         to_morphism)
 from .oracle import (DEFAULT_BUDGET, SolveResult,
                      check_adjunction, decide_c_initial,
-                     check_preinitial_subterminal, check_preserves_c_initial,
+                     check_preserves_c_initial,
                      check_respects_composition, coalgebra_morphisms,
                      raw_lawful_tables, solve_measurings)
 

@@ -3,13 +3,15 @@ lawful measuring tables between finite carriers and keeps the first few (or
 all), reaching each instance of the measuring law through the cell it reads
 (decoded from a value table of the source and an index of the machine, so
 the |C|·|F(A)| instances are never built), a raw filter oracle it is
-cross-validated against, a forcing search
-for machine morphisms, and the claim-level checkers: c-initiality (decided,
-with an algebra that witnesses each outcome), preinitiality, composition
-respect, adjunction bijections and initiality preservation.  Algebra
-morphisms are the measurings by the one-state unit machine.  Both searches
-return a ``SolveResult`` and stop where one budget runs out.  Each checker
-returns a ``kernel.Report`` that states its coverage.
+cross-validated against, a forcing search for machine morphisms, and the
+claim-level checkers: c-initiality, composition respect, adjunction
+bijections and initiality preservation.  One propagation loop,
+``_Structure.fill``, serves the solver and the c-initiality decision, which
+runs it into the free term algebra without branching and names an algebra
+that witnesses each outcome.  Algebra morphisms are the measurings by the
+one-state unit machine.  Both searches return a ``SolveResult`` and stop
+where one budget runs out.  Each checker returns a ``kernel.Report`` that
+states its coverage.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class _Structure:
 
     def __init__(self, c: Coalgebra, a: Algebra):
         _build_size(c, a)  # rejects what the solver cannot take
-        self.states, self.elems = c.states, a.elements
+        self.states, self.elems, self.sig = c.states, a.elements, a.sig
         sig, labels = a.sig, a.sig.monoid.elements
         lindex = {m: i for i, m in enumerate(labels)}
         sindex = {s: i for i, s in enumerate(self.states)}
@@ -178,51 +180,27 @@ class _Structure:
                     else [base + vi for vi in values if not mask[vi]])
         return out
 
-    def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET,
-              keep: int | None = None) -> SolveResult:
-        """Propagate the constraints into b, branching in cell order over b's
-        elements on the cells they leave free: each constraint is decoded when
-        it is popped, and a cell's readers are generated when it is assigned
-        or branched on, in the order a materialised list would give them.
-        Cells hold indices into ``b.elements``.  The right-hand side of a
-        constraint is the code of its value, code(bottom) = 0 and
-        code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i) with n = |B|; b's
-        structure map is read once per code.
-
-        The first ``keep`` tables (all when None) are kept in the order of
-        ``raw_lawful_tables``.  When there are more, the search stops and
-        counts them instead, building no tables: each cell that no
-        constraint reads or defines counts |B|, and the leaves over the
-        other cells are counted by the same search.  The budget bounds
-        propagation steps, branches and kept tables together.
-        """
+    def fill(self, targets, index, n: int, budget: int):
+        """The propagation loop into a target with elements ``targets``, as
+        (cells, propagate, charge, steps).  Cells hold positions in
+        ``targets``, below n; ``index(v)`` is the position of the image of a
+        value v over them, read once per value code: code(bottom) = 0,
+        code(m, x1..xa) = 1 + m n^a + sum xi n^(a-i).  ``propagate(queue,
+        trail)`` pops constraints and evaluates each whose slot cells are all
+        assigned, a step; one not ready is dropped, as the last of its cells
+        to fill queues it again.  It fills the cell a constraint defines, on
+        trail, queueing the cell's readers, and returns the first clash as
+        (cell, position), else None.  ``charge()`` takes a unit of work done
+        outside the loop from the budget, ``BudgetExceeded`` is raised where
+        the steps pass what is left, and ``steps()`` counts them."""
         readers, nv, ne = self.readers, self.nv, self.ne
         outs, labs, slots, rows, bases = self.outs, self.labels, self.slots, self.rows, self.bases
-        sig, labels = b.sig, b.sig.monoid.elements
-        targets = b.elements
-        n = len(targets)
-        bindex = {e: i for i, e in enumerate(targets)}
-        images = {}  # code -> index of its image in b
-        assign = [None] * self.ncells
-        steps = 0
-        limit = budget  # the budget less the branches and kept tables so far
-        solutions = []
-        keys = [(s, e) for s in self.states for e in self.elems]
+        labels, const = self.sig.monoid.elements, self.sig.kind == CONST
+        cells = [None] * self.ncells
+        images = {}  # code -> position of its image
+        steps, limit = 0, budget
 
-        def image(code, ci):
-            _, deps, m = self.decode(ci)
-            if m < 0:
-                v = BOTTOM
-            elif sig.kind == CONST:
-                v = labels[m]
-            else:
-                v = Node(labels[m], tuple(targets[assign[d]] for d in deps))
-            out = images[code] = bindex.get(b.alpha(v))
-            if out is None:
-                raise ValueError(f"structure map of {b!r} left the carrier at {v!r}")
-            return out
-
-        def propagate(queue, trail) -> bool:
+        def propagate(queue, trail):
             nonlocal steps
             while queue:  # each constraint decoded as in ``decode``, inline
                 ci = queue.pop()
@@ -233,7 +211,7 @@ class _Structure:
                 else:
                     code, deps = row[m], map(add, bases[si], slots[vi])
                 for d in deps:
-                    x = assign[d]
+                    x = cells[d]
                     if x is None:
                         break
                     code = code * n + x
@@ -243,23 +221,57 @@ class _Structure:
                         raise BudgetExceeded
                     code += 1
                     val = images.get(code)
-                    if val is None:
-                        val = image(code, ci)
+                    if val is None:  # the first value with this code
+                        _, deps, m = self.decode(ci)
+                        val = images[code] = index(
+                            BOTTOM if m < 0 else labels[m] if const
+                            else Node(labels[m], tuple(targets[cells[d]] for d in deps)))
                     lhs = si * ne + outs[vi]
-                    cur = assign[lhs]
+                    cur = cells[lhs]
                     if cur is None:
-                        assign[lhs] = val
+                        cells[lhs] = val
                         trail.append(lhs)
                         queue.extend(readers(lhs))
                     elif cur != val:
-                        return False
-            return True
+                        return lhs, val
+            return None
 
         def charge():
             nonlocal limit
             limit -= 1
             if steps > limit:
                 raise BudgetExceeded
+
+        return cells, propagate, charge, lambda: steps
+
+    def solve(self, b: Algebra, budget: int = DEFAULT_BUDGET,
+              keep: int | None = None) -> SolveResult:
+        """Propagate the constraints into b with ``fill``, branching in cell
+        order over b's elements on the cells they leave free: a cell's
+        readers are generated when it is assigned or branched on, in the
+        order a materialised list would give them.  Cells hold indices into
+        ``b.elements``, and b's structure map is read once per value code.
+
+        The first ``keep`` tables (all when None) are kept in the order of
+        ``raw_lawful_tables``.  When there are more, the search stops and
+        counts them instead, building no tables: each cell that no
+        constraint reads or defines counts |B|, and the leaves over the
+        other cells are counted by the same search.  The budget bounds
+        propagation steps, branches and kept tables together.
+        """
+        targets = b.elements
+        n = len(targets)
+        bindex = {e: i for i, e in enumerate(targets)}
+
+        def index(v):
+            out = bindex.get(b.alpha(v))
+            if out is None:
+                raise ValueError(f"structure map of {b!r} left the carrier at {v!r}")
+            return out
+
+        assign, propagate, charge, steps = self.fill(targets, index, n, budget)
+        solutions = []
+        keys = [(s, e) for s in self.states for e in self.elems]
 
         def undo(trail):
             for cell in trail:
@@ -274,7 +286,7 @@ class _Structure:
             stack = []
             while True:
                 trail = []
-                if propagate(queue, trail):
+                if propagate(queue, trail) is None:
                     try:
                         cell = assign.index(None)
                     except ValueError:
@@ -289,7 +301,7 @@ class _Structure:
                     if assign[cell] + 1 < n:
                         charge()
                         assign[cell] += 1
-                        queue = readers(cell)
+                        queue = self.readers(cell)
                         break
                     assign[cell] = None
                     undo(trail)
@@ -306,15 +318,15 @@ class _Structure:
                 charge()
                 solutions.append(dict(zip(keys, map(targets.__getitem__, assign))))
             if not more:
-                return SolveResult(tuple(solutions), True, steps, len(solutions))
+                return SolveResult(tuple(solutions), True, steps(), len(solutions))
             assign[:] = [None] * self.ncells
             for cell in self.loose:  # set aside: each counts n
                 assign[cell] = -1
             propagate(list(self.initial), [])
             count = n ** len(self.loose) * sum(1 for _ in leaves([]))
-            return SolveResult(tuple(solutions), True, steps, count)
+            return SolveResult(tuple(solutions), True, steps(), count)
         except BudgetExceeded:
-            return SolveResult(tuple(solutions), False, steps,
+            return SolveResult(tuple(solutions), False, steps(),
                                len(solutions) + more)
 
 
@@ -465,60 +477,56 @@ def coalgebra_morphisms(c: Coalgebra, d: Coalgebra,
 
 def decide_c_initial(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> Report:
     """Decide that a has exactly one measuring by fuel c into every algebra,
-    by one forward pass of the constraints into the free term algebra (a
-    budget unit a step; m(x) = m(y) never becomes x = y, as a structure map
-    need not be injective).  Each cell filled and no clash: folding its term
-    is the one measuring into any algebra.  A clash: none into T_k, k the
-    first level at which the two terms differ (the root is level 1), as
-    their truncations to depth k differ, or none into the label monoid with
-    the identity map.  A cell left empty: two or more into the 2-element
+    by the solver's propagation loop (``_Structure.fill``) into the free term
+    algebra, without branching: a cell holds the position of a term among
+    those the pass builds, at most one per cell, and the structure map is the
+    identity (m(x) = m(y) never becomes x = y, as a structure map need not
+    be injective).  Each cell filled and no clash: folding its term is the
+    one measuring into any algebra.  A clash: none into T_k, k the first
+    level at which the two terms differ (the root is level 1), as their
+    truncations to depth k differ, or none into the label monoid with the
+    identity map.  A cell left empty: two or more into the 2-element
     constant algebra, at a cell no constraint defines.  There is one, as a
     is finite: under fuel with no infinite path an empty cell leads down to
     one, and an infinite path makes the orbit of alpha(bottom) clash first,
-    its terms growing a level a step.  A constraint is queued when the last
-    of its cells fills; a cell is defined by some constraint iff its element
-    is in the image of alpha.  A decision over more law instances than the
-    budget is not started."""
+    its terms growing a level a step.  A cell is defined by some constraint
+    iff its element is in the image of alpha.  ``checked`` counts the steps,
+    a budget unit each; a decision over more law instances than the budget
+    is not started."""
     if _build_size(c, a) > budget:
         return Report.of("c-initial", f"{c.name} (x) {a.name}", ran_out=True)
     s = _Structure(c, a)
-    sig, labels = a.sig, a.sig.monoid.elements
-    terms = [None] * s.ncells
+    terms, position = [], {}
+
+    def intern(t):
+        if t not in position:
+            position[t] = len(terms)
+            terms.append(t)
+        return position[t]
+
+    cells, propagate, _, steps = s.fill(terms, intern, s.ncells + 1, budget)
+    try:
+        clash = propagate(list(s.initial), [])
+    except BudgetExceeded:
+        return Report.of("c-initial", f"{c.name} (x) {a.name}", ran_out=True, checked=budget)
 
     def cell(i):
         return render_value((s.states[i // s.ne], s.elems[i % s.ne]))
 
-    queue, steps, witness = list(s.initial), 0, None
-    while queue and not witness and steps < budget:
-        lhs, deps, m = s.decode(queue.pop())
-        steps += 1
-        if m < 0 or sig.kind == CONST:
-            t = BOTTOM if m < 0 else labels[m]
-        else:
-            t = Node(labels[m], tuple(terms[d] for d in deps))
-        if terms[lhs] is None:
-            terms[lhs] = t
-            for ci in s.readers(lhs):  # queued when this was the last of its cells to fill
-                si, vi = divmod(ci, s.nv)
-                for d in map(add, s.bases[si], s.slots[vi]):
-                    if terms[d] is None:
-                        break
-                else:
-                    queue.append(ci)
-        elif terms[lhs] != t:
-            into = (f"{sig.monoid.name} with the identity structure map" if sig.kind == CONST
-                    else f"T{_first_difference(terms[lhs], t)}[{sig!r}]")
-            witness = (f"cell {cell(lhs)}: {render_value(terms[lhs])} and "
-                       f"{render_value(t)} clash; no measuring into {into}")
-    ran_out = bool(queue) and not witness
-    empty = [i for i, t in enumerate(terms) if t is None]
-    if empty and not (witness or ran_out):
-        # a cell is defined iff its element is some value's output
+    witness, empty = None, [i for i, x in enumerate(cells) if x is None]
+    if clash:
+        lhs, val = clash
+        old, new = terms[cells[lhs]], terms[val]
+        into = (f"{a.sig.monoid.name} with the identity structure map" if a.sig.kind == CONST
+                else f"T{_first_difference(old, new)}[{a.sig!r}]")
+        witness = (f"cell {cell(lhs)}: {render_value(old)} and "
+                   f"{render_value(new)} clash; no measuring into {into}")
+    elif empty:  # a cell is defined iff its element is some value's output
         i = next((i for i in empty if not s.image[i % s.ne]), empty[0])
         witness = (f"cell {cell(i)} is defined by no constraint; the 2-element "
                    "algebra with a constant structure map has >= 2 measurings")
     return Report.of("c-initial", f"{c.name} (x) {a.name}", [witness] if witness else (),
-                     ran_out=ran_out, checked=steps)
+                     checked=steps())
 
 
 def _first_difference(t, u) -> int:
@@ -535,25 +543,6 @@ def _first_difference(t, u) -> int:
                 return level
             below.extend(zip(x.slots, y.slots))
         level, pairs = level + 1, below
-
-
-def check_preinitial_subterminal(p: Algebra, b: Algebra, coalgebras=(),
-                                 budget: int = DEFAULT_BUDGET) -> Report:
-    """At most one morphism out of p, and at most one lawful measuring per
-    fuel machine in the given family."""
-    witnesses = []
-    result = _algebra_morphisms(p, b, budget, keep=2)
-    exhaustive = result.exhaustive
-    if result.count > 1:
-        witnesses.append(f"{result.count} morphisms {p.name} -> {b.name}")
-        witnesses.extend(str(sorted(m.items(), key=str)) for m in result.solutions)
-    for c in coalgebras:
-        result = solve_measurings(c, p, b, budget, keep=1)
-        exhaustive = exhaustive and result.exhaustive
-        if result.count > 1:
-            witnesses.append(f"{result.count} measurings by {c.name}")
-    return Report.of("preinitial-subterminal", f"{p.name} -> {b.name}",
-                     witnesses, ran_out=not exhaustive)
 
 
 def check_respects_composition(kind: str, instances, depth: int = 3) -> Report:

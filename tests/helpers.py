@@ -3,8 +3,10 @@ reference that ``cind.oracle``'s forcing search for machine morphisms is
 checked against, the materialised constraint list that the solver's streamed
 structure is checked against, the brute-force laxness check that
 ``cind.kernel.nat_check_lax`` is checked against, the per-instance law check
-that ``cind.measuring.check_law`` is checked against, and measuring
-comparisons.  None of them is part of the package."""
+that ``cind.measuring.check_law`` is checked against, the forward pass
+that ``cind.oracle.decide_c_initial`` is checked against, a seeded generator
+of ``cind check`` scripts, and measuring comparisons.  None of them is part
+of the package."""
 
 import itertools
 import random
@@ -12,11 +14,12 @@ from operator import add
 from types import SimpleNamespace
 
 from cind.carriers import (Algebra, Coalgebra, coalgebra, is_coalgebra_morphism,
-                           table_algebra)
-from cind.kernel import (CONST, FunctorSig, NatTransform, Report, _sample_labels,
-                         functor_map, fvalues, is_bottom, nat_apply, unit_value,
-                         zip_values)
+                           render_value, table_algebra)
+from cind.kernel import (BOTTOM, CONST, FunctorSig, NatTransform, Node, Report,
+                         _sample_labels, functor_map, fvalues, is_bottom, nat_apply,
+                         unit_value, zip_values)
 from cind.measuring import Measuring, _pointwise_mismatches, table_measuring
+from cind.oracle import DEFAULT_BUDGET, _build_size, _first_difference, _Structure
 
 
 def random_algebra(sig: FunctorSig, size: int, rng: random.Random, name="") -> Algebra:
@@ -194,3 +197,154 @@ def per_instance_check_law(phi: Measuring, depth: int = 3, labels=None,
 
     return Report.of("law", phi.name, itertools.islice(mismatches(), max_witnesses),
                      checked=checked, sampled=sampled)
+
+
+def forward_pass_decision(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET) -> Report:
+    """c-initiality decided by a forward pass of its own, over terms rather
+    than their positions: a constraint is queued when the last of its cells
+    fills and counts a step when it is popped, while fewer than ``budget``
+    steps are taken.  The reference for ``cind.oracle.decide_c_initial``,
+    which runs on the solver's propagation loop."""
+    if _build_size(c, a) > budget:
+        return Report.of("c-initial", f"{c.name} (x) {a.name}", ran_out=True)
+    s = _Structure(c, a)
+    sig, labels = a.sig, a.sig.monoid.elements
+    terms = [None] * s.ncells
+
+    def cell(i):
+        return render_value((s.states[i // s.ne], s.elems[i % s.ne]))
+
+    queue, steps, witness = list(s.initial), 0, None
+    while queue and not witness and steps < budget:
+        lhs, deps, m = s.decode(queue.pop())
+        steps += 1
+        if m < 0 or sig.kind == CONST:
+            t = BOTTOM if m < 0 else labels[m]
+        else:
+            t = Node(labels[m], tuple(terms[d] for d in deps))
+        if terms[lhs] is None:
+            terms[lhs] = t
+            for ci in s.readers(lhs):  # queued when this was the last of its cells to fill
+                si, vi = divmod(ci, s.nv)
+                for d in map(add, s.bases[si], s.slots[vi]):
+                    if terms[d] is None:
+                        break
+                else:
+                    queue.append(ci)
+        elif terms[lhs] != t:
+            into = (f"{sig.monoid.name} with the identity structure map" if sig.kind == CONST
+                    else f"T{_first_difference(terms[lhs], t)}[{sig!r}]")
+            witness = (f"cell {cell(lhs)}: {render_value(terms[lhs])} and "
+                       f"{render_value(t)} clash; no measuring into {into}")
+    ran_out = bool(queue) and not witness
+    empty = [i for i, t in enumerate(terms) if t is None]
+    if empty and not (witness or ran_out):
+        i = next((i for i in empty if not s.image[i % s.ne]), empty[0])
+        witness = (f"cell {cell(i)} is defined by no constraint; the 2-element "
+                   "algebra with a constant structure map has >= 2 measurings")
+    return Report.of("c-initial", f"{c.name} (x) {a.name}", [witness] if witness else (),
+                     ran_out=ran_out, checked=steps)
+
+
+def random_script(rng: random.Random) -> str:
+    """A seeded ``cind check`` script.  Its monoids are ``builtin trivial`` or
+    tables on {0, 1} under max, min, or or and, now and then with a unit
+    that is none; its functors are const or shapes of arity 0-2.  Over F it
+    declares two algebras (bounded term algebras, or constant algebras with
+    elements the structure map leaves out) and a fuel (``counter``,
+    ``shapes``, ``unit``, ``dual``, a machine with bottom states, or a
+    ``tensor`` of two).  Now and then, unless F has arity 0, a hom and a
+    nat mu : F -> G follow, with an algebra and a fuel over G and the
+    transports ``expand`` or ``pushout``, ``pullback``, ``pushforward`` and
+    ``restrict`` along mu.  Then come two to four checks among ``unique``,
+    ``count``, ``c-initial`` and ``solve`` followed by ``law``, each over
+    one functor's algebras and fuels.  A
+    declaration of the wrong kind for its functor, a lawless or non-injective
+    hom, or a check of no kind is left in now and then, so some scripts exit
+    2."""
+    lines = []
+    units = {"max": 0, "or": 0, "min": 1, "and": 1}  # x -> 1 - x swaps the two kinds
+
+    def monoid(name, op=None):
+        """Declare a monoid; its labels, and its table op (None if builtin)."""
+        if op is None and rng.random() < 0.3:
+            lines.append(f"monoid {name} = builtin trivial")
+            return ["e"], None
+        op = op or rng.choice(("max", "min", "or", "and"))
+        unit = units[op]
+        lines.append(f"monoid {name} = table {{0, 1}} {op} "
+                     f"{unit if rng.random() < 0.97 else 1 - unit}")
+        return [0, 1], op
+
+    def functor(name, m, const, arity=None):
+        """Declare a functor over monoid m; its arity and term depth bound."""
+        if arity is None:
+            arity = 0 if const else rng.choice((0, 1, 1, 2))
+        lines.append(f"functor {name} = const({m})" if const else
+                     f"functor {name} = shape({m}, {arity})")
+        return arity, 3 if arity < 2 else 1
+
+    def algebra(name, f, const, labels, depth):
+        if const == (rng.random() < 0.97):  # the functor's kind, now and then not
+            interpret = {m: f"x{rng.randrange(2)}" for m in labels}
+            elems = sorted(set(interpret.values())) + [f"u{i}" for i in range(rng.randint(0, 2))]
+            pairs = ", ".join(f"{m} -> {x}" for m, x in interpret.items())
+            lines.append(f"alg {name} = constalg({f}, {{{', '.join(elems)}}}, {{{pairs}}})")
+        else:
+            lines.append(f"alg {name} = bounded({f}, {rng.randint(0, depth)})")
+
+    def fuel(name, f, const, arity, labels, depth, algs):
+        kind = rng.choice(("unit", "machine", "machine") if const and rng.random() < 0.95
+                          else ("counter", "shapes", "unit", "dual", "machine", "machine"))
+        if kind in ("counter", "shapes"):
+            body = f"{kind}({f}, {rng.randint(0, depth)})"
+        elif kind in ("unit", "dual"):
+            body = f"unit({f})" if kind == "unit" else f"dual({rng.choice(algs)})"
+        else:
+            states = [f"s{i}" for i in range(rng.randint(1, 3))]
+            unfold = {s: str(rng.choice(labels)) if const else "#b" if rng.random() < 0.3 else
+                      "(" + " ".join([str(rng.choice(labels))] +
+                                     rng.choices(states, k=arity)) + ")" for s in states}
+            body = f"machine({f}, {{" + ", ".join(f"{s} -> {u}" for s, u in unfold.items()) + "})"
+        lines.append(f"coalg {name} = {body}")
+
+    labels, op = monoid("M")
+    const = rng.random() < 0.35
+    arity, depth = functor("F", "M", const)
+    algebra("A", "F", const, labels, depth)
+    algebra("B", "F", const, labels, depth)
+    fuel("C", "F", const, arity, labels, depth, "AB")
+    c = "C"
+    if rng.random() < 0.2:
+        fuel("D", "F", const, arity, labels, depth, "AB")
+        lines.append("coalg E = tensor(C, D)")
+        c = "E"
+    pools = {"F": ("AB", [c])}  # per functor: its algebras and its fuels
+    if (const or arity) and rng.random() < 0.4:  # a morphism mu : F -> G, and transports
+        glabels, gop = monoid("N", op and rng.choice((op, op, "max", "min", "or", "and")))
+        garity, gdepth = functor("G", "N", const, 0 if const else rng.choice((arity, 2)))
+        lawful = {m: "e" if gop is None else units[gop] if op is None
+                  else m if units[op] == units[gop] else 1 - m for m in labels}
+        image = lawful if rng.random() < 0.9 else {m: rng.choice(glabels) for m in labels}
+        lines.append("hom h : M -> N = [" + ", ".join(f"{m} -> {x}" for m, x in image.items()) + "]")
+        slots = list(range(1, arity + 1)) + rng.choices(range(1, arity + 1), k=garity - arity)
+        rng.shuffle(slots)  # onto the source's slots, as restrict needs
+        reindex = "" if const else f", reindex [{', '.join(map(str, slots))}]"
+        lines.append(f"nat mu : F -> G = (hom h{reindex})")
+        algebra("Z", "G", const, glabels, gdepth)
+        fuel("Q", "G", const, garity, glabels, gdepth, "Z")
+        lines += [f"alg X = {'pushout' if const else 'expand'}(mu, {rng.choice('AB')})",
+                  "alg Y = pullback(mu, Z)", f"coalg P = pushforward(mu, {c})",
+                  "coalg R = restrict(mu, Q)"]
+        pools = {"F": ("ABY", [c, "R"]), "G": ("XZ", ["P", "Q"])}
+    for i in range(rng.randint(2, 4)):
+        algs, fuels = pools[rng.choice(list(pools))]
+        c, a, b = rng.choice(fuels), rng.choice(algs), rng.choice(algs)
+        lines += rng.choice((
+            [f"check unique {c} {a} {b}"],
+            [f"check count {c} {a} {b} {rng.randint(0, 3)}"],
+            [f"check c-initial {c} {a}"],
+            [f"measure phi{i} = solve({c}, {a}, {b})", f"check law phi{i}"]))
+    if rng.random() < 0.03:
+        lines.append(f"check nothing {c}")
+    return "\n".join(lines) + "\n"
