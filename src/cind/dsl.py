@@ -2,14 +2,18 @@
 morphisms, carriers, measurings, and checks.
 
 One-pass recursive descent over one token table; parse errors carry
-line:col and the expected-token set.  ``functor``, ``alg``, ``coalg`` and
-``measure`` declarations share one call form, ``KEYWORD NAME = head(arg,
-...)``, and one table, ``_CONSTRUCTORS``, which gives each (keyword, head)
-its argument kinds and its builder.  Parsing also resolves references and
-checks every call against its row (head, argument count, literal and
-reference kinds), so a slip is a parse error naming the usage.  ``run``
+line:col and the expected-token set.  Every declaration and check parses to
+one record, ``Decl(keyword, name, head, args)``, and has one row in one
+table, ``_ROWS``, keyed by (keyword, head): ``monoid builtin``, ``monoid
+table``, ``hom``, ``nat``, each constructor of the call form ``KEYWORD NAME
+= head(arg, ...)`` shared by ``functor``, ``alg``, ``coalg`` and
+``measure``, and each check kind.  A row gives the argument kinds and the
+builder.  Parsing also resolves every reference before anything is built,
+checking each declaration against its row (head, argument count, literal
+and reference kinds), so a slip is a parse error naming the usage.  ``run``
 then walks the declarations once, in script order, calling each row's
-builder, solving the measures and executing the checks.
+builder: it builds the declared objects, solves the measures and returns
+each check's report.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any
 
 from . import carriers, kernel, measuring, oracle, transport
@@ -83,56 +89,28 @@ class Script:
 
 @dataclass(frozen=True)
 class Decl:
-    pos: tuple = field(compare=False, default=(0, 0), kw_only=True)
-
-
-@dataclass(frozen=True)
-class MonoidDecl(Decl):
-    name: str
-    body: tuple  # ("builtin", which) | ("table", elems, opname, unit)
-
-
-@dataclass(frozen=True)
-class HomDecl(Decl):
-    name: str
-    src: str
-    dst: str
-    pairs: tuple
-
-
-@dataclass(frozen=True)
-class NatDecl(Decl):
-    name: str
-    src: str
-    dst: str
-    hom: str
-    reindex: tuple = None  # 1-based surface indices
-
-
-@dataclass(frozen=True)
-class CallDecl(Decl):
-    which: str  # functor | alg | coalg | measure
-    name: str
+    """A declaration or a check: its keyword, the name it declares (None for a
+    check), the head that picks its row of ``_ROWS`` ("" for a hom or a nat),
+    and its arguments, in the order of the row's kinds (a check's as written).
+    """
+    keyword: str
+    name: Any
     head: str
     args: tuple
+    pos: tuple = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
-class CheckDecl(Decl):
-    kind: str
-    args: tuple
-
-
-# call arguments: ("ref", name) | ("int", k) | ("set", atoms) | ("map", pairs),
-# where a map pairs an atom with a term whose leaves may be atoms
+# arguments: ("ref", name) | ("int", k) | ("set", atoms) | ("map", pairs) |
+# ("list", ints) | ("word", name) | ("label", atom), where a map pairs an atom
+# with a term whose leaves may be atoms
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 # declaration keywords are reserved: they end a check's argument list
-_DECL_KEYWORDS = frozenset(
-    {"monoid", "hom", "functor", "nat", "alg", "coalg", "measure", "check"})
+_CALLS = frozenset({"functor", "alg", "coalg", "measure"})  # KEYWORD NAME = head(arg, ...)
+_DECL_KEYWORDS = _CALLS | {"monoid", "hom", "nat", "check"}
 
 
 class _Parser:
@@ -178,6 +156,9 @@ class _Parser:
             return self.next().value
         self.fail(f"got {t.value!r}", expected=("label",))
 
+    def ref(self):
+        return ("ref", self.expect("NAME").value)
+
     def term(self):
         """One term: bottom, a bare label or state name, a node or list sugar.
         Open nodes wait on an explicit stack of (label, slots), so nesting
@@ -217,96 +198,70 @@ class _Parser:
             decls.append(self.decl())
         return Script(tuple(decls))
 
-    def decl(self):
+    def decl(self) -> Decl:
         t = self.peek()
         if t.kind != "NAME":
             self.fail(f"got {t.value!r}", expected=("declaration keyword",))
-        pos = (t.line, t.col)
-        kw = t.value
-        if kw == "monoid":
-            return self.monoid_decl(pos)
-        if kw == "hom":
-            return self.hom_decl(pos)
-        if kw == "nat":
-            return self.nat_decl(pos)
-        if kw in ("functor", "alg", "coalg", "measure"):
-            return self.call_decl(pos)
-        if kw == "check":
-            return self.check_decl(pos)
-        self.fail(f"got {kw!r}", expected=_DECL_KEYWORDS)
-
-    def monoid_decl(self, pos):
-        self.next()
+        if t.value not in _DECL_KEYWORDS:
+            self.fail(f"got {t.value!r}", expected=_DECL_KEYWORDS)
+        kw, pos, args = self.next().value, (t.line, t.col), ()
+        if kw == "check":  # check KIND, then names and numbers up to the next keyword
+            head = self.expect("NAME").value
+            while (t := self.peek()).kind in ("NAME", "INT") and t.value not in _DECL_KEYWORDS:
+                args += (("ref" if self.next().kind == "NAME" else "int", t.value),)
+            return Decl(kw, None, head, args, pos)
         name = self.expect("NAME").value
+        if kw in ("hom", "nat"):  # NAME : NAME -> NAME =
+            self.expect("SYM", ":")
+            args += (self.ref(),)
+            self.expect("SYM", "->")
+            args += (self.ref(),)
         self.expect("SYM", "=")
-        t = self.peek()
-        if t.kind == "NAME" and t.value == "builtin":
+        if kw == "monoid" and (self.peek().kind, self.peek().value) == ("NAME", "builtin"):
             self.next()
-            which = self.expect("NAME").value
-            return MonoidDecl(name, ("builtin", which), pos=pos)
-        self.expect("NAME", "table")
-        self.expect("SYM", "{")
-        elems = self.listed(self.atom)
-        self.expect("SYM", "}")
-        opname = self.expect("NAME").value
-        unit = self.atom()
-        return MonoidDecl(name, ("table", tuple(elems), opname, unit), pos=pos)
-
-    def hom_decl(self, pos):
-        self.next()
-        name = self.expect("NAME").value
-        self.expect("SYM", ":")
-        src = self.expect("NAME").value
-        self.expect("SYM", "->")
-        dst = self.expect("NAME").value
-        self.expect("SYM", "=")
-        self.expect("SYM", "[")
-        pairs = self.listed(self.arrow_pair)
-        self.expect("SYM", "]")
-        return HomDecl(name, src, dst, tuple(pairs), pos=pos)
+            return Decl(kw, name, "builtin", (("word", self.expect("NAME").value),), pos)
+        if kw == "monoid":  # table {atom, ...} NAME atom
+            self.expect("NAME", "table")
+            self.expect("SYM", "{")
+            elems = ("set", tuple(self.listed(self.atom)))
+            self.expect("SYM", "}")
+            return Decl(kw, name, "table", (elems, ("word", self.expect("NAME").value),
+                                            ("label", self.atom())), pos)
+        if kw == "hom":  # [atom -> atom, ...]
+            self.expect("SYM", "[")
+            pairs = ("map", tuple(self.listed(self.arrow_pair)))
+            self.expect("SYM", "]")
+            return Decl(kw, name, "", (pairs,) + args, pos)
+        if kw == "nat":  # (hom NAME[, reindex [INT, ...]])
+            self.expect("SYM", "(")
+            self.expect("NAME", "hom")
+            args += (self.ref(),)
+            if self.at_sym(","):
+                self.next()
+                self.expect("NAME", "reindex")
+                self.expect("SYM", "[")
+                reindex = () if self.at_sym("]") else self.listed(lambda: self.expect("INT").value)
+                args += (("list", tuple(reindex)),)
+                self.expect("SYM", "]")
+            self.expect("SYM", ")")
+            return Decl(kw, name, "", args, pos)
+        head = self.expect("NAME").value
+        self.expect("SYM", "(")
+        args = () if self.at_sym(")") else tuple(self.listed(self.call_arg))
+        self.expect("SYM", ")")
+        return Decl(kw, name, head, args, pos)
 
     def arrow_pair(self, value=None):
         a = self.atom()
         self.expect("SYM", "->")
         return (a, (value or self.atom)())
 
-    def nat_decl(self, pos):
-        self.next()
-        name = self.expect("NAME").value
-        self.expect("SYM", ":")
-        src = self.expect("NAME").value
-        self.expect("SYM", "->")
-        dst = self.expect("NAME").value
-        self.expect("SYM", "=")
-        self.expect("SYM", "(")
-        self.expect("NAME", "hom")
-        h = self.expect("NAME").value
-        reindex = None
-        if self.at_sym(","):
-            self.next()
-            self.expect("NAME", "reindex")
-            self.expect("SYM", "[")
-            reindex = tuple(self.listed(lambda: self.expect("INT").value))
-            self.expect("SYM", "]")
-        self.expect("SYM", ")")
-        return NatDecl(name, src, dst, h, reindex, pos=pos)
-
-    def call_decl(self, pos):
-        which = self.next().value
-        name = self.expect("NAME").value
-        self.expect("SYM", "=")
-        head = self.expect("NAME").value
-        self.expect("SYM", "(")
-        args = [] if self.at_sym(")") else self.listed(self.call_arg)
-        self.expect("SYM", ")")
-        return CallDecl(which, name, head, tuple(args), pos=pos)
-
     def call_arg(self):
         t = self.peek()
         if t.kind == "INT":
             return ("int", self.next().value)
         if t.kind == "NAME":
-            return ("ref", self.next().value)
+            return self.ref()
         if self.at_sym("{"):
             self.next()
             if self.at_sym("->", ahead=1):
@@ -316,18 +271,6 @@ class _Parser:
             self.expect("SYM", "}")
             return arg
         self.fail(f"got {t.value!r}", expected=("argument",))
-
-    def check_decl(self, pos):
-        self.next()
-        kind = self.expect("NAME").value
-        args = []
-        while self.peek().kind in ("NAME", "INT"):
-            t = self.peek()
-            if t.kind == "NAME" and t.value in _DECL_KEYWORDS:
-                break
-            self.next()
-            args.append(("ref", t.value) if t.kind == "NAME" else ("int", t.value))
-        return CheckDecl(kind, tuple(args), pos=pos)
 
 
 def parse(text: str) -> Script:
@@ -339,10 +282,58 @@ def parse(text: str) -> Script:
 
 
 # ---------------------------------------------------------------------------
-# constructors: one row per (keyword, head)
+# rows: one per (keyword, head)
+
+# table op name -> the operation, given the declared unit; under or/and the
+# unit is neutral and the other element wins, so on {0, 1} ``or 0`` is
+# disjunction and ``and 1`` conjunction, as on {T, F} ``or F`` and ``and T``
+_OPS = {"max": lambda _: max, "min": lambda _: min, "add": lambda _: operator.add,
+        "mul": lambda _: operator.mul, "or": lambda unit: lambda a, b: b if a == unit else a}
+_OPS["and"] = _OPS["or"]
+
+_BUILTIN_MONOIDS = {
+    "nat": kernel.NAT_PLUS,
+    "trivial": kernel.TRIV,
+}
+
+# what a builder is given besides its arguments: the declared name (for a
+# check, its references joined by spaces) and the script's budget
+_At = namedtuple("_At", "name budget")
 
 
-def _constalg(name, sig, elements, pairs):
+def _builtin(at, which):
+    if which not in _BUILTIN_MONOIDS:
+        raise ValueError(f"unknown builtin monoid {which!r}")
+    # the builtin's carrier, op and unit under the declared name
+    return replace(_BUILTIN_MONOIDS[which], name=at.name)
+
+
+def _table(at, elems, opname, unit):
+    if opname not in _OPS:
+        raise ValueError(f"unknown table op {opname!r}")
+    m = kernel.finite_monoid(at.name, elems, _OPS[opname](unit), unit)
+    report = kernel.monoid_check(m)
+    if not report.ok:
+        raise ValueError(f"{at.name} is not a monoid: {report.witnesses[0]}")
+    return m
+
+
+def _hom(at, src, dst, pairs):
+    h = kernel.hom(src, dst, dict(pairs), name=at.name)
+    # a hom out of builtin nat is checked over the labels it lists
+    if not (report := kernel.hom_check(h)).ok:
+        raise ValueError(f"hom {at.name} is not a homomorphism: {report.witnesses[0]}")
+    return h
+
+
+def _nat(at, src, dst, h, reindex=None):
+    # the surface indices count from 1
+    if reindex is not None:
+        reindex = tuple(i - 1 for i in reindex)
+    return kernel.nat_transform(src, dst, h, reindex, name=at.name)
+
+
+def _constalg(at, sig, elements, pairs):
     if sig.kind != kernel.CONST:
         raise ValueError("constalg expects a const functor")
     alpha = dict(pairs)
@@ -354,7 +345,7 @@ def _constalg(name, sig, elements, pairs):
             raise ValueError(f"constalg interprets {m!r}, which is not in {sig.monoid.name}")
         if x not in elements:
             raise ValueError(f"constalg structure map leaves the carrier: {m} -> {x}")
-    return carriers.finite_algebra(sig, elements, alpha.__getitem__, name)
+    return carriers.finite_algebra(sig, elements, alpha.__getitem__, at.name)
 
 
 def _dual(_, alg):
@@ -363,27 +354,56 @@ def _dual(_, alg):
     return carriers.term_unfold_coalgebra(alg.sig, alg.bound)
 
 
-def _machine(name, sig, pairs):
-    return carriers.coalgebra(sig, [state for state, _ in pairs], dict(pairs), name)
+def _machine(at, sig, pairs):
+    return carriers.coalgebra(sig, [state for state, _ in pairs], dict(pairs), at.name)
 
 
-def _solve(name, c, a, b, budget):
+def _solve(at, c, a, b):
     """A measure's solve report and its first lawful table as a measuring;
     None for the measuring if the solve ran out before keeping a table."""
-    result = oracle.solve_measurings(c, a, b, budget, keep=1)
+    result = oracle.solve_measurings(c, a, b, at.budget, keep=1)
     report = kernel.Report.of(
-        "solve", name, (f"{result.count} lawful tables",),
+        "solve", at.name, (f"{result.count} lawful tables",),
         failed=not result.solutions, ran_out=not result.exhaustive)
     if not result.solutions and not result.exhaustive:
         return report, None
     table = result.solutions[0] if result.solutions else {}
-    return report, measuring.table_measuring(c, a, b, table, name)
+    return report, measuring.table_measuring(c, a, b, table, at.name)
 
 
-# (keyword, head) -> (argument kinds, builder(name, *arguments)).  A kind is
-# a declaration keyword, for a reference to such a declaration, or a literal:
-# int, set ({a, b}) or map ({a -> v, ...}).  Measure rows are solved by run.
-_CONSTRUCTORS = {
+def _law(at, phi):
+    if phi is None:  # its solve ran out before keeping a table
+        return kernel.Report.of("law", at.name, ran_out=True)
+    try:
+        return measuring.check_law(phi, max_witnesses=5)
+    except ValueError as exc:
+        return kernel.Report.of("law", at.name, (str(exc),))
+
+
+def _count(kind, at, c, a, b, expected=1):
+    """A unique or count check: it fails, showing up to two lawful tables,
+    unless exactly ``expected`` tables are lawful."""
+    result = oracle.solve_measurings(c, a, b, at.budget, keep=2)
+    witnesses = ()
+    if result.exhaustive and result.count != expected:
+        tables = tuple(str(sorted((*map(carriers.render_value, k), carriers.render_value(v))
+                                  for k, v in table.items())) for table in result.solutions)
+        witnesses = (f"{result.count} lawful tables, expected {expected}",) + tables
+    return kernel.Report.of(kind, at.name, witnesses, ran_out=not result.exhaustive)
+
+
+# (keyword, head) -> (argument kinds, builder(at, *arguments)).  A kind is a
+# declaration keyword, for a reference to such a declaration, or a literal:
+# int, set ({a, b}), map ({a -> v, ...}), list ([i, ...]), word or label;
+# ignored is a number a check parses and drops.  A builder is given the
+# references first, then the literals, each in the order written, and
+# returns the declared object; a measure's returns its solve report and its
+# measuring, a check's its report.
+_ROWS = {
+    ("monoid", "builtin"): (("word",), _builtin),
+    ("monoid", "table"): (("set", "word", "label"), _table),
+    ("hom", ""): (("map", "monoid", "monoid"), _hom),
+    ("nat", ""): (("functor", "functor", "hom", "list"), _nat),
     ("functor", "const"): (("monoid",), lambda _, m: kernel.const_sig(m)),
     ("functor", "shape"): (("monoid", "int"), lambda _, m, k: kernel.shape_sig(m, k)),
     ("alg", "bounded"): (("functor", "int"),
@@ -407,35 +427,30 @@ _CONSTRUCTORS = {
                             lambda _, mu, c: transport.restrict_coalgebra(mu, c).coalg),
     ("coalg", "machine"): (("functor", "map"), _machine),
     ("measure", "solve"): (("coalg", "alg", "alg"), _solve),
+    ("check", "law"): (("measure",), _law),
+    ("check", "unique"): (("coalg", "alg", "alg"), partial(_count, "unique")),
+    ("check", "count"): (("coalg", "alg", "alg", "int"), partial(_count, "count")),
+    ("check", "c-initial"): (("coalg", "alg", "ignored", "ignored"),
+                             lambda at, c, a, *_: oracle.decide_c_initial(c, a, at.budget)),
 }
 
 
 # ---------------------------------------------------------------------------
 # resolution (names + kinds, no construction)
 
-# check kind -> its usage, the kinds of its references, the most numbers it takes
-_CHECK_KINDS = {
-    "law": ("check law MEASURE", ("measure",), 0),
-    "unique": ("check unique COALG ALG ALG", ("coalg", "alg", "alg"), 0),
-    "count": ("check count COALG ALG ALG N", ("coalg", "alg", "alg"), 1),
-    "c-initial": ("check c-initial COALG ALG", ("coalg", "alg"), 2),
-}
+
+def _usage(keyword, head) -> str:
+    """The usage a slip's parse error names: head(kind, ...) for a call, the
+    line's words for a check."""
+    kinds = _ROWS[keyword, head][0]
+    if keyword == "check":
+        return " ".join(["check", head] + ["N" if k == "int" else k.upper()
+                                           for k in kinds if k != "ignored"])
+    return f"{head}({', '.join(kinds)})"
 
 
 def _resolve(script: Script):
-    kinds = {}
-
-    def need(name, want, pos):
-        if name not in kinds:
-            raise DslError(f"unresolved reference {name!r}", *pos)
-        if kinds[name][0] != want:
-            raise DslError(f"{name!r} is a {kinds[name][0]}, need a {want}", *pos)
-        return kinds[name]
-
-    def declare(name, info, pos):
-        if name in kinds:
-            raise DslError(f"duplicate name {name!r}", *pos)
-        kinds[name] = info
+    kinds = {}  # name -> (keyword, head, its numbers): a functor's give its arity
 
     def distinct(items, what, pos):
         # a repeated set element or map key would be miscounted or dropped
@@ -446,72 +461,59 @@ def _resolve(script: Script):
             seen.add(x)
 
     for d in script.decls:
-        pos = d.pos
-        if isinstance(d, MonoidDecl):
-            if d.body[0] == "table":
-                distinct(d.body[1], "element", pos)
-            declare(d.name, ("monoid",), pos)
-        elif isinstance(d, HomDecl):
-            distinct([a for a, _ in d.pairs], "key", pos)
-            need(d.src, "monoid", pos)
-            need(d.dst, "monoid", pos)
-            declare(d.name, ("hom",), pos)
-        elif isinstance(d, NatDecl):
-            s = need(d.src, "functor", pos)
-            t = need(d.dst, "functor", pos)
-            need(d.hom, "hom", pos)
-            if s[1] != t[1]:
-                raise DslError(
-                    f"kind mismatch: no morphisms {s[1]} -> {t[1]}", *pos)
-            if s[1] == "shape":
-                if d.reindex is None:
-                    raise DslError("shape morphisms need a reindex clause", *pos)
-                if len(d.reindex) != t[2]:
-                    raise DslError(
-                        f"reindex length {len(d.reindex)} != target arity {t[2]}", *pos)
-                if any(not (1 <= i <= s[2]) for i in d.reindex):
-                    raise DslError("reindex entry outside source slots (1-based)", *pos)
-            declare(d.name, ("nat",), pos)
-        elif isinstance(d, CallDecl):
-            if (d.which, d.head) not in _CONSTRUCTORS:
-                raise DslError(f"unknown {d.which} constructor {d.head!r}", *pos,
-                               expected=[h for w, h in _CONSTRUCTORS if w == d.which])
-            want = _CONSTRUCTORS[d.which, d.head][0]
-            usage = f"{d.head}({', '.join(want)})"
-            if len(d.args) != len(want):
-                raise DslError(f"{d.head} takes {len(want)} "
-                               f"argument{'s' * (len(want) != 1)}; usage: {usage}", *pos)
-            for i, ((kind, val), w) in enumerate(zip(d.args, want), 1):
-                if kind == "set":
-                    distinct(val, "element", pos)
-                elif kind == "map":
-                    distinct([a for a, _ in val], "key", pos)
-                if kind == "ref" and val not in kinds:
-                    raise DslError(f"unresolved reference {val!r}", *pos)
-                got = kinds[val][0] if kind == "ref" else kind
-                if got != w:
-                    shown = f"{got} {val!r}" if kind == "ref" else got
-                    raise DslError(f"{d.head} argument {i}: want {w}, got {shown}; "
-                                   f"usage: {usage}", *pos)
-            # a functor's info carries its head and arity, which nat checks read
-            declare(d.name, (d.which, d.head) + tuple(v for k, v in d.args if k == "int"), pos)
-        elif isinstance(d, CheckDecl):
-            if d.kind not in _CHECK_KINDS:
-                raise DslError(f"unknown check kind {d.kind!r}", *pos,
-                               expected=sorted(_CHECK_KINDS))
-            usage, want, most = _CHECK_KINDS[d.kind]
-            refs = [v for k, v in d.args if k == "ref"]
+        pos, call = d.pos, d.keyword in _CALLS
+        if (d.keyword, d.head) not in _ROWS:
+            what = "check kind" if d.keyword == "check" else f"{d.keyword} constructor"
+            raise DslError(f"unknown {what} {d.head!r}", *pos,
+                           expected=[h for k, h in _ROWS if k == d.keyword])
+        want, args, usage = _ROWS[d.keyword, d.head][0], d.args, _usage(d.keyword, d.head)
+        if d.keyword == "check":  # its references, wherever its numbers sit
+            args = [a for a in d.args if a[0] == "ref"]
+            refs = [k for k in want if k in _DECL_KEYWORDS]
+            if len(args) != len(refs):
+                raise DslError(f"check {d.head} needs {len(refs)} "
+                               f"reference{'s' * (len(refs) > 1)}; usage: {usage}", *pos)
+        elif call and len(args) != len(want):
+            raise DslError(f"{d.head} takes {len(want)} "
+                           f"argument{'s' * (len(want) != 1)}; usage: {usage}", *pos)
+        for i, ((kind, val), w) in enumerate(zip(args, want), 1):
+            if kind == "set":
+                distinct(val, "element", pos)
+            elif kind == "map":
+                distinct([a for a, _ in val], "key", pos)
+            if kind == "ref" and val not in kinds:
+                raise DslError(f"unresolved reference {val!r}", *pos)
+            got = kinds[val][0] if kind == "ref" else kind
+            if got != w and call:
+                shown = f"{got} {val!r}" if kind == "ref" else got
+                raise DslError(f"{d.head} argument {i}: want {w}, got {shown}; "
+                               f"usage: {usage}", *pos)
+            if got != w:
+                raise DslError(f"{val!r} is a {got}, need a {w}", *pos)
+        if d.keyword == "check":
             ints = [v for k, v in d.args if k == "int"]
-            if len(refs) != len(want):
-                raise DslError(f"check {d.kind} needs {len(want)} "
-                               f"reference{'s' * (len(want) > 1)}; usage: {usage}", *pos)
-            for name, w in zip(refs, want):
-                need(name, w, pos)
-            if d.kind == "count" and not ints:
-                raise DslError("check count needs the expected number of measurings", *pos)
-            extra = " ".join(map(str, ints[most:]))
+            if len(ints) < want.count("int"):
+                raise DslError(f"check {d.head} needs the expected number of measurings", *pos)
+            extra = " ".join(map(str, ints[len(want) - len(refs):]))
             if extra:
-                raise DslError(f"check {d.kind}: extra number {extra}; usage: {usage}", *pos)
+                raise DslError(f"check {d.head}: extra number {extra}; usage: {usage}", *pos)
+        if d.keyword == "nat":  # the functors' kinds agree, and a shape's reindex fits
+            s, t = kinds[d.args[0][1]], kinds[d.args[1][1]]
+            reindex = d.args[3][1] if len(d.args) > 3 else None
+            if s[1] != t[1]:
+                raise DslError(f"kind mismatch: no morphisms {s[1]} -> {t[1]}", *pos)
+            if s[1] == "const" and reindex is not None:
+                raise DslError("const morphisms take no reindex clause", *pos)
+            if s[1] == "shape" and reindex is None:
+                raise DslError("shape morphisms need a reindex clause", *pos)
+            if s[1] == "shape" and len(reindex) != t[2]:
+                raise DslError(f"reindex length {len(reindex)} != target arity {t[2]}", *pos)
+            if s[1] == "shape" and any(not (1 <= i <= s[2]) for i in reindex):
+                raise DslError("reindex entry outside source slots (1-based)", *pos)
+        if d.name is not None:
+            if d.name in kinds:
+                raise DslError(f"duplicate name {d.name!r}", *pos)
+            kinds[d.name] = (d.keyword, d.head) + tuple(v for k, v in d.args if k == "int")
 
 
 # ---------------------------------------------------------------------------
@@ -524,50 +526,32 @@ def _print_arg(arg) -> str:
         return "{" + ", ".join(map(str, val)) + "}"
     if kind == "map":
         return "{" + ", ".join(f"{a} -> {carriers.render_value(v)}" for a, v in val) + "}"
+    if kind == "list":
+        return "[" + ", ".join(map(str, val)) + "]"
     return str(val)
 
 
 def print_script(script: Script) -> str:
+    """One line per declaration, in the surface form its keyword takes."""
     lines = []
     for d in script.decls:
-        if isinstance(d, MonoidDecl):
-            if d.body[0] == "builtin":
-                lines.append(f"monoid {d.name} = builtin {d.body[1]}")
-            else:
-                _, elems, opname, unit = d.body
-                lines.append(f"monoid {d.name} = table "
-                             f"{{{', '.join(map(str, elems))}}} {opname} {unit}")
-        elif isinstance(d, HomDecl):
-            pairs = ", ".join(f"{a} -> {b}" for a, b in d.pairs)
-            lines.append(f"hom {d.name} : {d.src} -> {d.dst} = [{pairs}]")
-        elif isinstance(d, NatDecl):
-            clause = f"hom {d.hom}"
-            if d.reindex is not None:
-                clause += f", reindex [{', '.join(map(str, d.reindex))}]"
-            lines.append(f"nat {d.name} : {d.src} -> {d.dst} = ({clause})")
-        elif isinstance(d, CallDecl):
-            args = ", ".join(_print_arg(a) for a in d.args)
-            lines.append(f"{d.which} {d.name} = {d.head}({args})")
-        elif isinstance(d, CheckDecl):
-            args = " ".join(str(v) for _, v in d.args)
-            lines.append(f"check {d.kind}{' ' + args if args else ''}")
+        a = [_print_arg(x) for x in d.args]
+        if d.keyword == "check":
+            lines.append(" ".join(["check", d.head, *a]))
+        elif d.keyword == "monoid":
+            lines.append(" ".join(["monoid", d.name, "=", d.head, *a]))
+        elif d.keyword == "hom":  # the map's pairs, in brackets
+            lines.append(f"hom {d.name} : {a[1]} -> {a[2]} = [{a[0][1:-1]}]")
+        elif d.keyword == "nat":
+            reindex = "".join(f", reindex {x}" for x in a[3:])
+            lines.append(f"nat {d.name} : {a[0]} -> {a[1]} = (hom {a[2]}{reindex})")
+        else:
+            lines.append(f"{d.keyword} {d.name} = {d.head}({', '.join(a)})")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # execution
-
-# table op name -> the operation, given the declared unit; under or/and the
-# unit is neutral and the other element wins, so on {0, 1} ``or 0`` is
-# disjunction and ``and 1`` conjunction, as on {T, F} ``or F`` and ``and T``
-_OPS = {"max": lambda _: max, "min": lambda _: min, "add": lambda _: operator.add,
-        "mul": lambda _: operator.mul, "or": lambda unit: lambda a, b: b if a == unit else a}
-_OPS["and"] = _OPS["or"]
-
-_BUILTIN_MONOIDS = {
-    "nat": kernel.NAT_PLUS,
-    "trivial": kernel.TRIV,
-}
 
 
 class ScriptRunError(Exception):
@@ -575,25 +559,9 @@ class ScriptRunError(Exception):
         super().__init__(f"{pos[0]}:{pos[1]}: {message}")
 
 
-def _monoid(d: MonoidDecl) -> kernel.Monoid:
-    if d.body[0] == "builtin":
-        if d.body[1] not in _BUILTIN_MONOIDS:
-            raise ValueError(f"unknown builtin monoid {d.body[1]!r}")
-        # the builtin's carrier, op and unit under the declared name
-        return replace(_BUILTIN_MONOIDS[d.body[1]], name=d.name)
-    _, elems, opname, unit = d.body
-    if opname not in _OPS:
-        raise ValueError(f"unknown table op {opname!r}")
-    m = kernel.finite_monoid(d.name, elems, _OPS[opname](unit), unit)
-    report = kernel.monoid_check(m)
-    if not report.ok:
-        raise ValueError(f"{d.name} is not a monoid: {report.witnesses[0]}")
-    return m
-
-
 def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
     """Build each declaration, solve each measure and run each check, in
-    script order.
+    script order, each by its row's builder.
 
     Returns (reports, kernel.exit_code(reports)).  A ValueError or KeyError
     raised at a declaration becomes a ScriptRunError at its position.
@@ -601,57 +569,21 @@ def run(script: Script, budget: int = oracle.DEFAULT_BUDGET):
     """
     env, reports = {}, []
     for d in script.decls:
+        refs = [v for k, v in d.args if k == "ref"]
         try:
-            if isinstance(d, MonoidDecl):
-                env[d.name] = _monoid(d)
-            elif isinstance(d, HomDecl):
-                h = env[d.name] = kernel.hom(env[d.src], env[d.dst], dict(d.pairs), name=d.name)
-                # a hom out of builtin nat is checked over the labels it lists
-                if not (report := kernel.hom_check(h)).ok:
-                    raise ValueError(f"hom {d.name} is not a homomorphism: {report.witnesses[0]}")
-            elif isinstance(d, NatDecl):
-                reindex = None if d.reindex is None else tuple(i - 1 for i in d.reindex)
-                env[d.name] = kernel.nat_transform(
-                    env[d.src], env[d.dst], env[d.hom], reindex, name=d.name)
-            elif isinstance(d, CallDecl):
-                build = _CONSTRUCTORS[d.which, d.head][1]
-                args = [env[v] if k == "ref" else v for k, v in d.args]
-                if d.which == "measure":
-                    report, env[d.name] = build(d.name, *args, budget)
-                    reports.append(report)
-                else:
-                    env[d.name] = build(d.name, *args)
-            else:
-                reports.append(_run_check(d, env, budget))
+            out = _ROWS[d.keyword, d.head][1](
+                _At(d.name or " ".join(refs), budget),
+                *[env[v] for v in refs], *[v for k, v in d.args if k != "ref"])
         except (ValueError, KeyError) as exc:
             raise ScriptRunError(str(exc), d.pos) from exc
+        if d.keyword == "measure":  # its solve report, and the measuring
+            reports.append(out[0])
+            out = out[1]
+        if d.keyword == "check":
+            reports.append(out)
+        else:
+            env[d.name] = out
     return reports, kernel.exit_code(reports)
-
-
-def _run_check(d: CheckDecl, env, budget) -> kernel.Report:
-    refs = [v for k, v in d.args if k == "ref"]
-    ints = [v for k, v in d.args if k == "int"]
-    if d.kind == "law":
-        if env[refs[0]] is None:  # its solve ran out before keeping a table
-            return kernel.Report.of("law", refs[0], ran_out=True)
-        try:
-            return measuring.check_law(env[refs[0]], max_witnesses=5)
-        except ValueError as exc:
-            return kernel.Report.of("law", refs[0], (str(exc),))
-    if d.kind == "c-initial":
-        return oracle.decide_c_initial(env[refs[0]], env[refs[1]], budget)
-    if d.kind in ("count", "unique"):
-        c, a, b = env[refs[0]], env[refs[1]], env[refs[2]]
-        expected = ints[0] if d.kind == "count" else 1
-        result = oracle.solve_measurings(c, a, b, budget, keep=2)
-        witnesses = ()
-        if result.exhaustive and result.count != expected:
-            tables = tuple(str(sorted((*map(carriers.render_value, k), carriers.render_value(v))
-                                      for k, v in table.items())) for table in result.solutions)
-            witnesses = (f"{result.count} lawful tables, expected {expected}",) + tables
-        return kernel.Report.of(d.kind, " ".join(refs), witnesses,
-                                ran_out=not result.exhaustive)
-    raise ValueError(f"unknown check kind {d.kind!r}")
 
 
 def reports_to_json(reports) -> str:

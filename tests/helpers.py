@@ -247,29 +247,34 @@ def forward_pass_decision(c: Coalgebra, a: Algebra, budget: int = DEFAULT_BUDGET
 
 
 def random_script(rng: random.Random) -> str:
-    """A seeded ``cind check`` script.  Its monoids are ``builtin trivial`` or
-    tables on {0, 1} under max, min, or or and, now and then with a unit
-    that is none; its functors are const or shapes of arity 0-2.  Over F it
-    declares two algebras (bounded term algebras, or constant algebras with
-    elements the structure map leaves out) and a fuel (``counter``,
-    ``shapes``, ``unit``, ``dual``, a machine with bottom states, or a
-    ``tensor`` of two).  Now and then, unless F has arity 0, a hom and a
-    nat mu : F -> G follow, with an algebra and a fuel over G and the
-    transports ``expand`` or ``pushout``, ``pullback``, ``pushforward`` and
+    """A seeded ``cind check`` script.  Its monoids are ``builtin trivial``,
+    ``builtin nat`` (labels 0-2) or tables on {0, 1} under max, min, or or
+    and, now and then with a unit that is none; its functors are const or
+    shapes of arity 0-2.  Over F it declares two algebras (bounded term
+    algebras, or constant algebras with elements the structure map leaves
+    out) and a fuel (``counter``, ``shapes``, ``unit``, ``dual``, a machine
+    with bottom states, or a ``tensor`` of two).  Now and then a hom and a
+    nat mu : F -> G follow (into an arity-0 G by ``reindex []`` when F has
+    arity 0), with an algebra and a fuel over G and the transports
+    ``expand`` or ``pushout``, ``pullback``, ``pushforward`` and
     ``restrict`` along mu.  Then come two to four checks among ``unique``,
     ``count``, ``c-initial`` and ``solve`` followed by ``law``, each over
-    one functor's algebras and fuels.  A
-    declaration of the wrong kind for its functor, a lawless or non-injective
-    hom, or a check of no kind is left in now and then, so some scripts exit
-    2."""
+    one functor's algebras and fuels; a check's numbers sit anywhere among
+    its references.  Out of ``builtin nat``, whose checks and whose
+    ``pushout`` and ``restrict`` are run errors, those come rarely.  A declaration of the wrong kind for its functor, a
+    lawless or non-injective hom (out of ``builtin nat``, one that sends 0
+    to 1), or a check of no kind is left in now and then, so some scripts
+    exit 2."""
     lines = []
     units = {"max": 0, "or": 0, "min": 1, "and": 1}  # x -> 1 - x swaps the two kinds
 
     def monoid(name, op=None):
-        """Declare a monoid; its labels, and its table op (None if builtin)."""
-        if op is None and rng.random() < 0.3:
-            lines.append(f"monoid {name} = builtin trivial")
-            return ["e"], None
+        """Declare a monoid; its labels, and its op: a table op, or the
+        builtin's name."""
+        if op is None and rng.random() < 0.45:
+            op = rng.choice(("trivial", "trivial", "nat"))
+            lines.append(f"monoid {name} = builtin {op}")
+            return (["e"] if op == "trivial" else [0, 1, 2][:rng.randint(1, 3)]), op
         op = op or rng.choice(("max", "min", "or", "and"))
         unit = units[op]
         lines.append(f"monoid {name} = table {{0, 1}} {op} "
@@ -308,6 +313,14 @@ def random_script(rng: random.Random) -> str:
             body = f"machine({f}, {{" + ", ".join(f"{s} -> {u}" for s, u in unfold.items()) + "})"
         lines.append(f"coalg {name} = {body}")
 
+    def check(kind, refs, numbers=()):
+        """A check line; now and then its numbers stand among its references."""
+        words = refs + [str(n) for n in numbers]
+        for n in numbers if rng.random() < 0.3 else ():
+            words.remove(str(n))
+            words.insert(rng.randint(0, len(words)), str(n))
+        return f"check {kind} {' '.join(words)}"
+
     labels, op = monoid("M")
     const = rng.random() < 0.35
     arity, depth = functor("F", "M", const)
@@ -320,12 +333,23 @@ def random_script(rng: random.Random) -> str:
         lines.append("coalg E = tensor(C, D)")
         c = "E"
     pools = {"F": ("AB", [c])}  # per functor: its algebras and its fuels
-    if (const or arity) and rng.random() < 0.4:  # a morphism mu : F -> G, and transports
-        glabels, gop = monoid("N", op and rng.choice((op, op, "max", "min", "or", "and")))
-        garity, gdepth = functor("G", "N", const, 0 if const else rng.choice((arity, 2)))
-        lawful = {m: "e" if gop is None else units[gop] if op is None
-                  else m if units[op] == units[gop] else 1 - m for m in labels}
-        image = lawful if rng.random() < 0.9 else {m: rng.choice(glabels) for m in labels}
+    if rng.random() < (0.9 if op == "nat" else 0.4):  # a morphism mu : F -> G, and transports
+        builtin = op in ("trivial", "nat")
+        glabels, gop = monoid("N", None if builtin else rng.choice((op, op, "max", "min", "or", "and")))
+        garity, gdepth = functor("G", "N", const, 0 if const or not arity else rng.choice((arity, 2)))
+        scale, other = rng.randint(0, 2), rng.randrange(2)  # what 1 goes to out of nat
+
+        def lawful(m):
+            if gop in ("trivial", "nat"):
+                return "e" if gop == "trivial" else m * scale if op == "nat" else 0
+            if builtin:
+                return units[gop] if op == "trivial" or m == 0 else other
+            return m if units[op] == units[gop] else 1 - m
+
+        image = ({m: lawful(m) for m in labels} if rng.random() < 0.9
+                 else {m: rng.choice(glabels) for m in labels})
+        if op == "nat" and gop != "trivial" and rng.random() < 0.15:  # the unit not kept
+            image[0] = 1 if gop == "nat" else 1 - units[gop]
         lines.append("hom h : M -> N = [" + ", ".join(f"{m} -> {x}" for m, x in image.items()) + "]")
         slots = list(range(1, arity + 1)) + rng.choices(range(1, arity + 1), k=garity - arity)
         rng.shuffle(slots)  # onto the source's slots, as restrict needs
@@ -333,17 +357,22 @@ def random_script(rng: random.Random) -> str:
         lines.append(f"nat mu : F -> G = (hom h{reindex})")
         algebra("Z", "G", const, glabels, gdepth)
         fuel("Q", "G", const, garity, glabels, gdepth, "Z")
-        lines += [f"alg X = {'pushout' if const else 'expand'}(mu, {rng.choice('AB')})",
-                  "alg Y = pullback(mu, Z)", f"coalg P = pushforward(mu, {c})",
-                  "coalg R = restrict(mu, Q)"]
-        pools = {"F": ("ABY", [c, "R"]), "G": ("XZ", ["P", "Q"])}
+        # out of builtin nat, pushout and restrict are run errors: mostly left out
+        skip = op == "nat" and rng.random() < 0.8
+        x, r = "X" * (not (skip and const)), "R" * (not skip)
+        lines += [f"alg X = {'pushout' if const else 'expand'}(mu, {rng.choice('AB')})"] * len(x)
+        lines += ["alg Y = pullback(mu, Z)", f"coalg P = pushforward(mu, {c})"]
+        lines += ["coalg R = restrict(mu, Q)"] * len(r)
+        pools = {"F": ("ABY", [c, *r]), "G": (x + "Z", ["P", "Q"])}
     for i in range(rng.randint(2, 4)):
-        algs, fuels = pools[rng.choice(list(pools))]
+        # checks over builtin nat are run errors, so they come rarely
+        algs, fuels = pools["G" if op == "nat" and len(pools) > 1 and rng.random() < 0.9
+                            else rng.choice(list(pools))]
         c, a, b = rng.choice(fuels), rng.choice(algs), rng.choice(algs)
         lines += rng.choice((
-            [f"check unique {c} {a} {b}"],
-            [f"check count {c} {a} {b} {rng.randint(0, 3)}"],
-            [f"check c-initial {c} {a}"],
+            [check("unique", [c, a, b])],
+            [check("count", [c, a, b], [rng.randint(0, 3)])],
+            [check("c-initial", [c, a], rng.choice(([], [], [], [2, 5], [rng.randint(0, 9)])))],
             [f"measure phi{i} = solve({c}, {a}, {b})", f"check law phi{i}"]))
     if rng.random() < 0.03:
         lines.append(f"check nothing {c}")

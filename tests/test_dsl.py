@@ -23,8 +23,8 @@ def test_parse_smallest_monoid_decl():
     script = dsl.parse("monoid B = table {0, 1} max 0")
     assert len(script.decls) == 1
     d = script.decls[0]
-    assert d.name == "B"
-    assert d.body == ("table", (0, 1), "max", 0)
+    assert (d.keyword, d.name, d.head) == ("monoid", "B", "table")
+    assert d.args == (("set", (0, 1)), ("word", "max"), ("label", 0))
 
 
 def test_parse_functor_and_nat_with_resolution():
@@ -38,7 +38,7 @@ nat mu : F -> G = (hom eB, reindex [1])
 """
     script = dsl.parse(text)
     nat = script.decls[-1]
-    assert nat.src == "F" and nat.dst == "G" and nat.reindex == (1,)
+    assert nat.args == (("ref", "F"), ("ref", "G"), ("ref", "eB"), ("list", (1,)))
 
 
 def test_parse_rejects_cross_kind_nat():
@@ -149,7 +149,9 @@ functor F = shape(B, 1)
 functor H = shape(B, 2)
 functor CM = const(MA)
 functor CO = const(MO)
+functor Z = shape(B, 0)
 nat dup : F -> H = (hom idB, reindex [1, 1])
+nat drop : F -> Z = (hom idB, reindex [])
 nat cflip : CM -> CO = (hom flip)
 alg L1 = bounded(F, 1)
 alg Li = initial(F)
@@ -168,13 +170,12 @@ coalg M1 = machine(F, {a -> (0 b), b -> #b})
 measure phi = solve(D1, L1, L1)
 check law phi
 check unique D1 L1 L1
-check count D1 L1 L1 1
-check c-initial D1 L1 2 3
+check count 1 D1 L1 L1
+check c-initial D1 2 L1 3
 """
     once = dsl.parse(text)
-    # every constructor row appears, so a new row cannot skip the round trip
-    assert {(d.which, d.head) for d in once.decls
-            if isinstance(d, dsl.CallDecl)} == set(dsl._CONSTRUCTORS)
+    # every row of every keyword appears, so a new row cannot skip the round trip
+    assert {(d.keyword, d.head) for d in once.decls} == set(dsl._ROWS)
     printed = dsl.print_script(once)
     assert dsl.parse(printed) == once
     # printing is idempotent on the canonical form
@@ -507,6 +508,40 @@ def test_cli_c_initial_decides_whatever_numbers_trail_it(tmp_path, numbers):
     assert _check_script(tmp_path, _NAT_LISTS + f"check c-initial D L {numbers}\n") == bare
 
 
+_ARITY_0 = """monoid T = builtin trivial
+functor F = shape(T, 1)
+functor Z = shape(T, 0)
+hom h : T -> T = [e -> e]
+nat mu : F -> {target} = (hom h, reindex [])
+alg A = bounded(Z, 1)
+alg P = pullback(mu, A)
+coalg C = counter(F, 2)
+check unique C P P
+"""
+
+
+def test_cli_empty_reindex_maps_into_an_arity_0_shape(tmp_path, capsys):
+    text = _ARITY_0.format(target="Z")
+    assert _check_script(tmp_path, text) == (0, "[holds] unique C P P  (exhaustive)\n")
+    assert dsl.print_script(dsl.parse(text)) == text
+    # into arity 1 the empty list is still a length mismatch
+    assert _check_script(tmp_path, _ARITY_0.format(target="F")) == (2, "")
+    assert "5:1: reindex length 0 != target arity 1" in capsys.readouterr().err
+
+
+def test_cli_reindex_clause_on_a_const_morphism_is_a_parse_error(tmp_path, capsys):
+    # it used to be dropped, and the script ran
+    code, out = _check_script(tmp_path, """monoid MA = table {T, F} and T
+monoid MO = table {T, F} or F
+functor CA = const(MA)
+functor CO = const(MO)
+hom flip : MA -> MO = [T -> F, F -> T]
+nat mu : CA -> CO = (hom flip, reindex [1, 7, 9])
+""")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "cind: parse error: 6:1: const morphisms take no reindex clause\n"
+
+
 # ---------------------------------------------------------------------------
 # constructor calls, checked against their table row
 
@@ -525,10 +560,11 @@ _OTHER_KIND = {"monoid": "F", "functor": "M", "nat": "A", "alg": "C", "coalg": "
 
 
 @pytest.mark.parametrize("slip", ["missing", "extra", "wrong-kind"])
-@pytest.mark.parametrize("row", sorted(dsl._CONSTRUCTORS), ids="-".join)
+@pytest.mark.parametrize("row", sorted(row for row in dsl._ROWS if row[0] in dsl._CALLS),
+                         ids="-".join)
 def test_cli_constructor_slip_is_a_parse_error(tmp_path, capsys, row, slip):
     which, head = row
-    kinds = dsl._CONSTRUCTORS[row][0]
+    kinds = dsl._ROWS[row][0]
     args = [_LITERALS[k] if k in _LITERALS else _NAMES[k] for k in kinds]
     first_ref = next(i for i, k in enumerate(kinds) if k in _NAMES)
     if slip == "missing":
@@ -680,8 +716,8 @@ def test_cli_hom_out_of_builtin_nat_is_checked_on_its_listed_labels(tmp_path, ca
                                            (1, 0, "and"), (0, 1, "or")])
 def test_table_and_or_keep_the_unit_neutral(unit, other, op):
     # the other element absorbs: conjunction on {T, F} with unit T, and so on
-    script = dsl.parse(f"monoid M = table {{{unit}, {other}}} {op} {unit}\n")
-    m = dsl._monoid(script.decls[0])
+    d = dsl.parse(f"monoid M = table {{{unit}, {other}}} {op} {unit}\n").decls[0]
+    m = dsl._ROWS[d.keyword, d.head][1](dsl._At(d.name, None), *(v for _, v in d.args))
     assert [m.op(a, b) for a in (unit, other) for b in (unit, other)] == [unit, other, other, other]
 
 
@@ -828,8 +864,9 @@ def test_readme_library_example_runs():
 
 
 def test_readme_lists_every_constructor_usage():
+    # each call and each check kind, as its parse error names its usage
     text = README.read_text(encoding="utf-8")
-    missing = [f"{head}({', '.join(kinds)})"
-               for (_, head), (kinds, _) in dsl._CONSTRUCTORS.items()
-               if f"`{head}({', '.join(kinds)})`" not in text]
+    usages = [dsl._usage(*row) for row in dsl._ROWS if row[0] in dsl._CALLS | {"check"}]
+    assert "check unique COALG ALG ALG" in usages and "shape(monoid, int)" in usages
+    missing = [usage for usage in usages if f"`{usage}`" not in text]
     assert not missing
